@@ -19,6 +19,14 @@ type completion = { completed : int; dropped : int; wire_bytes : int; faulted : 
    immediate execution, trading a (charged) scan for fewer wasted visits. *)
 type policy = Round_robin | Ready_first
 
+(* Stashed flows ready to be taken, ordered by the arrival seq of their
+   head item (seqs are distinct). *)
+module Ready = Set.Make (struct
+  type t = int * int
+
+  let compare (a, _) (b, _) = Int.compare a b
+end)
+
 let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     ?telemetry ?on_complete (worker : Worker.t) (program : Program.t) ~n_tasks
     (source : Workload.source) =
@@ -69,38 +77,70 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
 
   (* Per-flow ordering: two packets of one flow must not be in flight in
      two NFTasks at once (their state mutations would race and could
-     complete out of order). Items whose flow is already being processed
-     wait in [stash]; [inflight] counts active tasks per flow. *)
+     complete out of order). Items whose flow is already being processed,
+     or has an earlier item stashed, wait in the stash; [inflight] counts
+     active tasks per flow.
+
+     The stash is indexed so every operation is O(log n) in its size: a
+     per-flow FIFO of (arrival seq, item) in [stash], a priority queue
+     [ready] of the flows that are idle and have stashed items, keyed by
+     the seq of their head item, and the item count [stashed]. Taking the
+     minimum of [ready] yields the earliest-arrived stashed item whose flow is idle — the
+     item a front-to-back scan of the arrival-ordered stash would take —
+     so the schedule is exactly that of a plain list. Bookkeeping charges
+     no cycles. *)
   let inflight : (int, int) Hashtbl.t = Hashtbl.create (4 * n_tasks) in
-  let stash : Workload.item list ref = ref [] in
+  let stash : (int, (int * Workload.item) Queue.t) Hashtbl.t =
+    Hashtbl.create (4 * n_tasks)
+  in
+  let ready = ref Ready.empty in
+  let stashed = ref 0 in
+  let seq = ref 0 in
   let flow_of (item : Workload.item) = item.Workload.flow_hint in
   let mark_inflight fh =
     if fh >= 0 then
       Hashtbl.replace inflight fh (1 + Option.value ~default:0 (Hashtbl.find_opt inflight fh))
   in
+  (* A flow going idle with items stashed becomes takeable. *)
   let clear_inflight fh =
     if fh >= 0 then
       match Hashtbl.find_opt inflight fh with
-      | Some 1 -> Hashtbl.remove inflight fh
+      | Some 1 -> (
+          Hashtbl.remove inflight fh;
+          match Hashtbl.find_opt stash fh with
+          | Some q -> ready := Ready.add (fst (Queue.peek q), fh) !ready
+          | None -> ())
       | Some n -> Hashtbl.replace inflight fh (n - 1)
       | None -> ()
   in
-  (* First stashed item whose flow is idle; earlier stash entries of the
-     same flow are by construction in front, so taking the first match
-     preserves per-flow FIFO order. *)
+  (* The caller marks the taken item's flow in flight at once, so the
+     flow leaves [ready] even when more of its items stay stashed. *)
   let take_stashed () =
-    let rec go acc = function
-      | [] -> None
-      | item :: rest ->
-          if Hashtbl.mem inflight (flow_of item) then go (item :: acc) rest
-          else begin
-            stash := List.rev_append acc rest;
-            Some item
-          end
-    in
-    go [] !stash
+    match Ready.min_elt_opt !ready with
+    | None -> None
+    | Some ((_, fh) as head) ->
+        ready := Ready.remove head !ready;
+        let q = Hashtbl.find stash fh in
+        let _, item = Queue.pop q in
+        if Queue.is_empty q then Hashtbl.remove stash fh;
+        decr stashed;
+        Some item
   in
-  let stashed_flow fh = List.exists (fun i -> flow_of i = fh) !stash in
+  (* Only reached for a flow in flight or already stashed: an idle
+     stashed flow is in [ready] already with an older head. *)
+  let stash_item fh item =
+    let q =
+      match Hashtbl.find_opt stash fh with
+      | Some q -> q
+      | None ->
+          let q = Queue.create () in
+          Hashtbl.replace stash fh q;
+          q
+    in
+    Queue.push (!seq, item) q;
+    incr seq;
+    incr stashed
+  in
   let next_item () =
     match take_stashed () with
     | Some item -> Some item
@@ -118,10 +158,13 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
                 None
             | Some item ->
                 let fh = flow_of item in
-                if fh >= 0 && (Hashtbl.mem inflight fh || stashed_flow fh) then begin
-                  stash := !stash @ [ item ];
-                  (* Keep pulling: another flow's packet can fill this task. *)
-                  if List.length !stash < 4 * n_tasks then pull () else None
+                if fh >= 0 && (Hashtbl.mem inflight fh || Hashtbl.mem stash fh) then begin
+                  stash_item fh item;
+                  (* Keep pulling: another flow's packet can fill this task.
+                     The cap bounds one pull loop, not the stash: a loop
+                     that starts at or over it still stashes what it
+                     pulls. *)
+                  if !stashed < 4 * n_tasks then pull () else None
                 end
                 else Some item
           in
@@ -343,9 +386,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
            needs a re-issuing visit — during the drain phase that task
            would never be visited again and the loop would spin forever. *)
         let refillable =
-          lazy
-            ((not (!exhausted || !paused))
-            || List.exists (fun i -> not (Hashtbl.mem inflight (flow_of i))) !stash)
+          lazy ((not (!exhausted || !paused)) || not (Ready.is_empty !ready))
         in
         let runnable i =
           let t = tasks.(i) in
@@ -392,7 +433,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
                 (Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem
                    ~now:ctx.Exec_ctx.clock));
         advance ();
-        if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
+        if (!exhausted || !paused) && !stashed = 0 && not (any_active ()) then
           continue_run := false
       done);
   Worker.finish ?latency:(Metrics.Collector.summarize latencies)

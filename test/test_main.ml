@@ -40,4 +40,5 @@ let () =
       ("verifyeq", Test_verifyeq.suite);
       ("adaptive", Test_adaptive.suite);
       ("baseline", Test_baseline.suite);
+      ("scheduler", Test_scheduler.suite);
     ]
