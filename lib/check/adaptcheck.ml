@@ -21,20 +21,6 @@
 
 open Gunfu
 
-(* Recovery-style plan arming: roll at the global index, mangle the
-   clone's bytes for corruptions, register with the plant's plane. *)
-let arm_plan ?plan ~plane ~g pkt =
-  match (plan, pkt) with
-  | Some fg, Some p -> (
-      match Faultgen.decide fg g with
-      | Some inj ->
-          (match inj with
-          | Fault.Corrupt_packet -> Faultgen.corrupt fg ~index:g p
-          | Fault.Raise_at _ | Fault.Stall_mshrs _ | Fault.Kill_core -> ());
-          Fault.inject plane ~packet_id:p.Netcore.Packet.id inj
-      | None -> ())
-  | _ -> ()
-
 (* Byte-identical to the recovery engine's state digest at one core:
    every universe flow's NF state, its containment state, then the
    commutative counters summed and sorted. *)
@@ -81,7 +67,7 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
         remaining := rest;
         let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
         Option.iter (Netcore.Packet.Pool.assign ci.Recovery.ci_pool) pkt;
-        arm_plan ?plan ~plane ~g pkt;
+        ignore (Recovery.arm_plan ?plan ~plane ~g pkt);
         let pid = match pkt with Some p -> p.Netcore.Packet.id | None -> -1 in
         inputs := (pid, item.Workload.flow_hint) :: !inputs;
         Some
@@ -92,10 +78,7 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
           }
   in
   let on_complete (task : Nftask.t) =
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
+    let dropped = Event.is_drop task.Nftask.event in
     let e_pkt, e_pktid, e_wire =
       match task.Nftask.packet with
       | Some p ->
@@ -213,29 +196,6 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
     },
     oc )
 
-let totals (p : Recovery.pass) =
-  List.fold_left
-    (fun (pk, dr, fl, wb) (_, (o : Oracle.observation)) ->
-      let r = o.Oracle.o_run in
-      ( pk + r.Metrics.packets,
-        dr + r.Metrics.drops,
-        fl + r.Metrics.faulted,
-        wb + r.Metrics.wire_bytes ))
-    (0, 0, 0, 0) p.Recovery.p_obs
-
-let diff_totals ~(reference : Recovery.pass) (adaptive : Recovery.pass) =
-  let rp, rd, rf, rw = totals reference in
-  let ap, ad, af, aw = totals adaptive in
-  if rp <> ap then
-    Some (Printf.sprintf "completion counts differ: %d (reference) vs %d (adaptive)" rp ap)
-  else if rd <> ad then
-    Some (Printf.sprintf "drop counts differ: %d (reference) vs %d (adaptive)" rd ad)
-  else if rf <> af then
-    Some (Printf.sprintf "faulted counts differ: %d (reference) vs %d (adaptive)" rf af)
-  else if rw <> aw then
-    Some (Printf.sprintf "wire bytes differ: %d (reference) vs %d (adaptive)" rw aw)
-  else None
-
 type outcome = {
   ao_case : string;
   ao_packets : int;
@@ -276,7 +236,7 @@ let check_rcase ?plan ?scr ?params ?(epoch = 256)
     List.map (fun viol -> ("driver", viol)) (Invariants.check_adaptive oc)
   in
   let divergence =
-    match diff_totals ~reference adaptive with
+    match Recovery.diff_totals ~label:"adaptive" ~reference adaptive with
     | Some d -> Some d
     | None -> Recovery.diff_passes ~reference adaptive
   in

@@ -146,10 +146,7 @@ let observe ?(specialize = false) ?plan ?telemetry (x : executor) (inst : instan
   let emits = ref [] in
   let inputs = ref [] in
   let on_complete (task : Nftask.t) =
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
+    let dropped = Event.is_drop task.Nftask.event in
     let e_pkt, e_pktid, e_wire =
       match task.Nftask.packet with
       | Some p -> (packet_fingerprint p, p.Netcore.Packet.id, p.Netcore.Packet.wire_len)

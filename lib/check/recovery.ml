@@ -534,10 +534,7 @@ let observe_core ~label ~plane (ci : core_instance) source : Oracle.observation 
   let emits = ref [] in
   let inputs = ref [] in
   let on_complete (task : Nftask.t) =
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
+    let dropped = Event.is_drop task.Nftask.event in
     let e_pkt, e_pktid, e_wire =
       match task.Nftask.packet with
       | Some p -> (Oracle.packet_fingerprint p, p.Netcore.Packet.id, p.Netcore.Packet.wire_len)
@@ -703,6 +700,29 @@ let diff_passes ~(reference : pass) (obs : pass) : string option =
         Some
           (Printf.sprintf "state digests differ: %s (reference) vs %s (recovered)"
              reference.p_digest obs.p_digest)
+
+(* Totals across a pass's live cores, from the runs themselves. *)
+let totals (p : pass) =
+  List.fold_left
+    (fun (pk, dr, fl, wb) (_, (o : Oracle.observation)) ->
+      let r = o.Oracle.o_run in
+      ( pk + r.Metrics.packets,
+        dr + r.Metrics.drops,
+        fl + r.Metrics.faulted,
+        wb + r.Metrics.wire_bytes ))
+    (0, 0, 0, 0) p.p_obs
+
+let diff_totals ~label ~(reference : pass) (candidate : pass) =
+  let rp, rd, rf, rw = totals reference in
+  let cp, cd, cf, cw = totals candidate in
+  let differ what r c =
+    Some (Printf.sprintf "%s differ: %d (reference) vs %d (%s)" what r c label)
+  in
+  if rp <> cp then differ "completion counts" rp cp
+  else if rd <> cd then differ "drop counts" rd cd
+  else if rf <> cf then differ "faulted counts" rf cf
+  else if rw <> cw then differ "wire bytes" rw cw
+  else None
 
 type outcome = {
   oc_case : string;

@@ -89,6 +89,19 @@ val observe_platform :
     then state digest), or [None]. *)
 val diff_passes : reference:pass -> pass -> string option
 
+(** First difference in completion, drop, faulted or wire-byte totals
+    summed over a pass's cores, or [None]; the message names the
+    candidate pass [label], e.g. ["drop counts differ: 3 (reference) vs 2
+    (scr)"]. *)
+val diff_totals : label:string -> reference:pass -> pass -> string option
+
+(** Fault-plan arming at global stream index [g]: roll [plan], mangle a
+    corrupted packet's bytes, and register the injection with [plane].
+    Returns the injection armed, if any ([None] without a plan or packet). *)
+val arm_plan :
+  ?plan:Faultgen.t -> plane:Fault.t -> g:int -> Netcore.Packet.t option ->
+  Fault.injection option
+
 type outcome = {
   oc_case : string;
   oc_cores : int;

@@ -27,19 +27,6 @@ let engine_name = function
   | Scaleout.Scr.Engine_rtc -> "rtc"
   | Scaleout.Scr.Engine_batch b -> Printf.sprintf "batch%d" b
 
-(* Same injection semantics as the recovery engine's plan arming, shaped
-   for {!Scaleout.Scr.run}'s [arm] hook: roll the plan at the item's
-   global index, mangle the clone's bytes for corruptions, register the
-   injection with the processing core's fault plane. *)
-let arm_plan plan ~plane ~g pkt =
-  match Faultgen.decide plan g with
-  | Some inj ->
-      (match inj with
-      | Fault.Corrupt_packet -> Faultgen.corrupt plan ~index:g pkt
-      | Fault.Raise_at _ | Fault.Stall_mshrs _ | Fault.Kill_core -> ());
-      Fault.inject plane ~packet_id:pkt.Netcore.Packet.id inj
-  | None -> ()
-
 (* One SCR platform pass over a recovery case: full-universe replicas on
    every core, the traced stream sprayed and executed, observations
    collected per core (completion order) and merged in global-arrival
@@ -73,10 +60,7 @@ let scr_pass ?plan ?(spray = Scaleout.Spray.Round_robin)
   let emits = Array.make cores [] in
   let on_complete ~core ~g ~seq:_ (task : Nftask.t) =
     let ctx = Worker.ctx cis.(core).Recovery.ci_worker in
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
+    let dropped = Event.is_drop task.Nftask.event in
     let e_pkt, e_pktid, e_wire =
       match task.Nftask.packet with
       | Some p ->
@@ -97,7 +81,11 @@ let scr_pass ?plan ?(spray = Scaleout.Spray.Round_robin)
         } )
       :: emits.(core)
   in
-  let arm = Option.map (fun p ~plane ~g pkt -> arm_plan p ~plane ~g pkt) plan in
+  let arm =
+    Option.map
+      (fun plan ~plane ~g pkt -> ignore (Recovery.arm_plan ~plan ~plane ~g (Some pkt)))
+      plan
+  in
   let res =
     Scaleout.Scr.run ?arm ~on_complete ~engine ~replicas ~slots ~universe items
   in
@@ -134,32 +122,6 @@ let scr_pass ?plan ?(spray = Scaleout.Spray.Round_robin)
       p_digest = res.Scaleout.Scr.sr_state_digest;
     },
     res )
-
-(* Totals across a pass's live cores, from the runs themselves. *)
-let totals (p : Recovery.pass) =
-  List.fold_left
-    (fun (pk, dr, fl, wb) (_, (o : Oracle.observation)) ->
-      let r = o.Oracle.o_run in
-      ( pk + r.Metrics.packets,
-        dr + r.Metrics.drops,
-        fl + r.Metrics.faulted,
-        wb + r.Metrics.wire_bytes ))
-    (0, 0, 0, 0) p.Recovery.p_obs
-
-(* First count difference between reference and SCR totals, or [None] —
-   the stream/digest comparison is {!Recovery.diff_passes}'. *)
-let diff_totals ~(reference : Recovery.pass) (scr : Recovery.pass) =
-  let rp, rd, rf, rw = totals reference in
-  let sp, sd, sf, sw = totals scr in
-  if rp <> sp then
-    Some (Printf.sprintf "completion counts differ: %d (reference) vs %d (scr)" rp sp)
-  else if rd <> sd then
-    Some (Printf.sprintf "drop counts differ: %d (reference) vs %d (scr)" rd sd)
-  else if rf <> sf then
-    Some (Printf.sprintf "faulted counts differ: %d (reference) vs %d (scr)" rf sf)
-  else if rw <> sw then
-    Some (Printf.sprintf "wire bytes differ: %d (reference) vs %d (scr)" rw sw)
-  else None
 
 type outcome = {
   so_case : string;
@@ -200,7 +162,7 @@ let check_rcase ?plan ?spray ?engine ~cores (rc : Recovery.rcase) : outcome =
     List.map (fun viol -> ("scr", viol)) (Invariants.check_scr ~completions ~cores res)
   in
   let divergence =
-    match diff_totals ~reference scr with
+    match Recovery.diff_totals ~label:"scr" ~reference scr with
     | Some d -> Some d
     | None -> Recovery.diff_passes ~reference scr
   in

@@ -35,4 +35,10 @@ let of_key = function
 
 let equal a b = String.equal (to_key a) (to_key b)
 
+(* [equal] to [Drop_packet] or [Match_fail], without building keys. *)
+let is_drop = function
+  | Drop_packet | Match_fail -> true
+  | User s -> String.equal s "DROP" || String.equal s "MATCH_FAIL"
+  | Packet_arrival | Match_success | Emit_packet | Faulted _ -> false
+
 let pp ppf t = Fmt.string ppf (to_key t)

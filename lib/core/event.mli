@@ -21,4 +21,8 @@ val to_key : t -> string
 val of_key : string -> t
 
 val equal : t -> t -> bool
+
+(** The packet is not forwarded: the event is {!equal} to [Drop_packet]
+    (an explicit drop) or [Match_fail] (a failed match). *)
+val is_drop : t -> bool
 val pp : Format.formatter -> t -> unit

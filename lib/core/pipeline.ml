@@ -40,11 +40,7 @@ let run ?(label = "pipeline") (stages : (Worker.t * Program.t) list)
         let rec go () =
           let next = Program.step program task.Nftask.cs task.Nftask.event in
           if Program.is_done program next then begin
-            let dropped =
-              Event.equal task.Nftask.event Event.Drop_packet
-              || Event.equal task.Nftask.event Event.Match_fail
-            in
-            if not dropped then survivors := item :: !survivors
+            if not (Event.is_drop task.Nftask.event) then survivors := item :: !survivors
           end
           else begin
             task.Nftask.cs <- next;

@@ -248,6 +248,40 @@ let test_kill_core_inert_in_executors () =
     run.Gunfu.Metrics.drops;
   Alcotest.(check int) "nothing quarantined" 0 run.Gunfu.Metrics.faulted
 
+(* ----- totals diff ----- *)
+
+(* The candidate's label lands in the message verbatim, so the scr and
+   adaptive axes keep their texts. *)
+let test_diff_totals_label () =
+  let rc = Recovery.gen_rcase ~seed:3 ~profile:"uniform" ~packets:32 in
+  let reference = Recovery.observe_platform ~cores:1 rc in
+  Alcotest.(check (option string)) "equal passes" None
+    (Recovery.diff_totals ~label:"scr" ~reference reference);
+  let bump f (p : Recovery.pass) =
+    {
+      p with
+      Recovery.p_obs =
+        List.map
+          (fun (l, (o : Oracle.observation)) -> (l, { o with Oracle.o_run = f o.Oracle.o_run }))
+          p.Recovery.p_obs;
+    }
+  in
+  let r = (snd (List.hd reference.Recovery.p_obs)).Oracle.o_run in
+  Alcotest.(check (option string)) "drop counts, scr"
+    (Some
+       (Printf.sprintf "drop counts differ: %d (reference) vs %d (scr)" r.Gunfu.Metrics.drops
+          (r.Gunfu.Metrics.drops + 1)))
+    (Recovery.diff_totals ~label:"scr" ~reference
+       (bump (fun r -> { r with Gunfu.Metrics.drops = r.Gunfu.Metrics.drops + 1 }) reference));
+  Alcotest.(check (option string)) "wire bytes, adaptive"
+    (Some
+       (Printf.sprintf "wire bytes differ: %d (reference) vs %d (adaptive)"
+          r.Gunfu.Metrics.wire_bytes (r.Gunfu.Metrics.wire_bytes + 5)))
+    (Recovery.diff_totals ~label:"adaptive" ~reference
+       (bump
+          (fun r -> { r with Gunfu.Metrics.wire_bytes = r.Gunfu.Metrics.wire_bytes + 5 })
+          reference))
+
 let suite =
   [
     Alcotest.test_case "decide_kill: range, determinism, lone-core" `Quick
@@ -268,4 +302,5 @@ let suite =
     Alcotest.test_case "check_recovery: teeth" `Quick test_check_recovery_teeth;
     Alcotest.test_case "Kill_core is a no-op for executors" `Quick
       test_kill_core_inert_in_executors;
+    Alcotest.test_case "diff_totals names the candidate" `Quick test_diff_totals_label;
   ]

@@ -1,13 +1,16 @@
-(* Interleaved scheduler under flow skew: the per-flow hazard stash.
+(* Single-core engines under flow skew: execution order pins and the
+   interleaved scheduler's per-flow hazard stash.
 
    A Zipf-1.1 NAT source over 64 flows keeps a few hot flows permanently
-   in flight, so most pulls are stashed behind a same-flow task and pull
-   loops run into their [4 * n_tasks] cap. The order pins fix the exact
-   schedule (which item each refill takes, when every packet completes);
-   they were recorded with the stash kept as a plain arrival-ordered
-   list, so they prove the indexed stash picks the same items. The
-   allocation test bounds the host cost of the stash per packet as runs
-   grow longer. *)
+   in flight, so most interleaved pulls are stashed behind a same-flow task
+   and pull loops run into their [4 * n_tasks] cap. The order pins fix the
+   exact schedule of every single-core engine (which item each refill
+   takes, when every packet completes). The scheduler pins were recorded
+   with the stash kept as a plain arrival-ordered list, so they prove the
+   indexed stash picks the same items; the rtc and batch pins, and the
+   specialized and traced modes, were recorded before the engines shared
+   one per-packet kernel. The allocation test bounds the host cost of the
+   stash per packet as runs grow longer. *)
 
 open Gunfu
 
@@ -29,16 +32,33 @@ let setup ~count =
 
 (* ----- order pins ----- *)
 
+(* Every single-core engine is one input to the same harness: same source,
+   same variants, same digest. [Specialized] installs the fused-runner hot
+   path; [Traced] attaches a span tracer, which keeps the interpreted
+   action path and records spans. *)
+type engine = Rtc | Batch of int | Il of Scheduler.policy * int
+type mode = Interp | Specialized | Traced
 type variant = Plain | Quiesce | Fault_at_load
 
 let packets = 5000
 
+let run_engine engine ?quiesce ?fault ?telemetry ~on_complete worker program source =
+  match engine with
+  | Rtc -> Rtc.run ?quiesce ?fault ?telemetry ~on_complete worker program source
+  | Batch batch ->
+      Batch_rtc.run ~batch ?quiesce ?fault ?telemetry ~on_complete worker program source
+  | Il (policy, n_tasks) ->
+      Scheduler.run ~policy ?quiesce ?fault ?telemetry ~on_complete worker program
+        ~n_tasks source
+
 (* Every completion folds (flow, aux, event, clock) into the digest —
    packet ids are left out because they are process-global. The pin adds
-   the cycle, switch, packet and fault totals of every [Scheduler.run]
-   call of the case. *)
-let order_pin policy n_tasks variant =
+   the cycle, switch, packet and fault totals of every run call of the
+   case, and for a traced call the tracer's span count, completions and
+   attributed/action/switch cycles. *)
+let order_pin engine mode variant =
   let s = setup ~count:packets in
+  if mode = Specialized then Specialize.install s.program;
   let ctx = Worker.ctx s.worker in
   let buf = Buffer.create (packets * 24) in
   let completed = ref 0 in
@@ -49,12 +69,18 @@ let order_pin policy n_tasks variant =
   in
   let totals = Buffer.create 64 in
   let run ?quiesce ?fault source =
+    let telemetry = if mode = Traced then Some (Trace.create ()) else None in
     let r =
-      Scheduler.run ~policy ?quiesce ?fault ~on_complete s.worker s.program ~n_tasks
-        source
+      run_engine engine ?quiesce ?fault ?telemetry ~on_complete s.worker s.program source
     in
     Printf.bprintf totals "/%d,%d,%d,%d" r.Metrics.cycles r.Metrics.switches
-      r.Metrics.packets r.Metrics.faulted
+      r.Metrics.packets r.Metrics.faulted;
+    Option.iter
+      (fun tr ->
+        Printf.bprintf totals "+%d,%d,%d,%d,%d" (Trace.total_spans tr)
+          (Trace.completes tr) (Trace.attributed_cycles tr) (Trace.action_cycles tr)
+          (Trace.switch_cycles tr))
+      telemetry
   in
   (match variant with
   | Plain -> run s.source
@@ -64,7 +90,7 @@ let order_pin policy n_tasks variant =
       run s.source
   | Fault_at_load ->
       (* Every 7th pull is corrupt: quarantined at load, which finalises
-         the task and recurses into the next load. *)
+         the task without executing it. *)
       let plane = Fault.create () in
       let pulled = ref 0 in
       let tapped =
@@ -81,50 +107,150 @@ let order_pin policy n_tasks variant =
   Alcotest.(check int) "every packet completed" packets !completed;
   Digest.to_hex (Digest.string (Buffer.contents buf)) ^ Buffer.contents totals
 
-let policy_name = function
-  | Scheduler.Round_robin -> "rr"
-  | Scheduler.Ready_first -> "rf"
+let engine_name = function
+  | Rtc -> "rtc"
+  | Batch b -> Printf.sprintf "batch-%d" b
+  | Il (Scheduler.Round_robin, n) -> Printf.sprintf "rr-%d" n
+  | Il (Scheduler.Ready_first, n) -> Printf.sprintf "rf-%d" n
+
+let mode_name = function
+  | Interp -> ""
+  | Specialized -> " specialized"
+  | Traced -> " traced"
 
 let variant_name = function
   | Plain -> "plain"
   | Quiesce -> "quiesce"
   | Fault_at_load -> "fault"
 
+let rr n = Il (Scheduler.Round_robin, n)
+let rf n = Il (Scheduler.Ready_first, n)
+
 let pins =
   [
-    (Scheduler.Round_robin, 4, Plain,
+    (rr 4, Interp, Plain,
      "b2ff61129db510f91183ab6b4b1c3bbf/1161344,27434,5000,0");
-    (Scheduler.Round_robin, 4, Quiesce,
+    (rr 4, Interp, Quiesce,
      "67d914664f402e8f1014536b78721722/587166,14207,2512,0/575588,13367,2488,0");
-    (Scheduler.Round_robin, 4, Fault_at_load,
+    (rr 4, Interp, Fault_at_load,
      "4053a9d5686b91bcf3f1de5471ce0348/1025234,23673,5000,1590");
-    (Scheduler.Round_robin, 16, Plain,
+    (rr 16, Interp, Plain,
      "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0");
-    (Scheduler.Round_robin, 16, Quiesce,
+    (rr 16, Interp, Quiesce,
      "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0/526834,27926,1349,0");
-    (Scheduler.Round_robin, 16, Fault_at_load,
+    (rr 16, Interp, Fault_at_load,
      "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590");
-    (Scheduler.Ready_first, 4, Plain,
+    (rf 4, Interp, Plain,
      "f9a385e4ec611e2e444ff01e23e8cf04/1153747,26570,5000,0");
-    (Scheduler.Ready_first, 4, Quiesce,
+    (rf 4, Interp, Quiesce,
      "c96a75978e9bd8ddb81b1a66dbc74be8/580541,13451,2512,0/573392,13123,2488,0");
-    (Scheduler.Ready_first, 4, Fault_at_load,
+    (rf 4, Interp, Fault_at_load,
      "0036ce16dadf990b8a4a7f7654302f6e/1018361,22888,5000,1590");
-    (Scheduler.Ready_first, 16, Plain,
+    (rf 16, Interp, Plain,
      "4c5740ce81fd35c3e9874fb700fd9858/1282930,28940,5000,0");
-    (Scheduler.Ready_first, 16, Quiesce,
+    (rf 16, Interp, Quiesce,
      "0a05df1fac6146b91a34d79037d5cc28/936475,21111,3651,0/345079,7731,1349,0");
-    (Scheduler.Ready_first, 16, Fault_at_load,
+    (rf 16, Interp, Fault_at_load,
      "ecf09fe7542c7e37dd465b40260e0f86/1132008,25252,5000,1590");
+    (Rtc, Interp, Plain,
+     "b15cfafa026c56a6076160ae252e346d/933450,0,5000,0");
+    (Rtc, Interp, Quiesce,
+     "b15cfafa026c56a6076160ae252e346d/512230,0,2500,0/421220,0,2500,0");
+    (Rtc, Interp, Fault_at_load,
+     "64c9eadf2d0a7bbc8f4a9d4b92d3e9de/841478,0,5000,1590");
+    (Rtc, Specialized, Plain,
+     "b15cfafa026c56a6076160ae252e346d/933450,0,5000,0");
+    (Rtc, Specialized, Quiesce,
+     "b15cfafa026c56a6076160ae252e346d/512230,0,2500,0/421220,0,2500,0");
+    (Rtc, Specialized, Fault_at_load,
+     "64c9eadf2d0a7bbc8f4a9d4b92d3e9de/841478,0,5000,1590");
+    (Rtc, Traced, Plain,
+     "b15cfafa026c56a6076160ae252e346d/933450,0,5000,0+76266,5000,855918,655918,0");
+    (Rtc, Traced, Quiesce,
+     "b15cfafa026c56a6076160ae252e346d/512230,0,2500,0+38166,2500,473398,373398,0/421220,0,2500,0+38100,2500,382520,282520,0");
+    (Rtc, Traced, Fault_at_load,
+     "64c9eadf2d0a7bbc8f4a9d4b92d3e9de/841478,0,5000,1590+67515,5000,775022,575022,0");
+    (Batch 1, Interp, Plain,
+     "9c2e0b621a820f3c0c9b62913d233896/931177,0,5000,0");
+    (Batch 1, Interp, Quiesce,
+     "9c2e0b621a820f3c0c9b62913d233896/509957,0,2500,0/421220,0,2500,0");
+    (Batch 1, Interp, Fault_at_load,
+     "9f234bf6268069208e9079306b4423c6/839205,0,5000,1590");
+    (Batch 8, Interp, Plain,
+     "fd03c69c15249fa996da1ce65c38f185/925677,0,5000,0");
+    (Batch 8, Interp, Quiesce,
+     "fd03c69c15249fa996da1ce65c38f185/504937,0,2504,0/420740,0,2496,0");
+    (Batch 8, Interp, Fault_at_load,
+     "56be1da5880792b3f8cad7ecf64955c4/833585,0,5000,1590");
+    (Batch 32, Interp, Plain,
+     "31e433924a2b7c2c966e6677417be45e/976442,0,5000,0");
+    (Batch 32, Interp, Quiesce,
+     "31e433924a2b7c2c966e6677417be45e/534504,0,2528,0/441938,0,2472,0");
+    (Batch 32, Interp, Fault_at_load,
+     "35f56cbf9a54a6acb6e85f52db6de491/877565,0,5000,1590");
+    (Batch 32, Specialized, Plain,
+     "31e433924a2b7c2c966e6677417be45e/976442,0,5000,0");
+    (Batch 32, Specialized, Quiesce,
+     "31e433924a2b7c2c966e6677417be45e/534504,0,2528,0/441938,0,2472,0");
+    (Batch 32, Specialized, Fault_at_load,
+     "35f56cbf9a54a6acb6e85f52db6de491/877565,0,5000,1590");
+    (Batch 32, Traced, Plain,
+     "31e433924a2b7c2c966e6677417be45e/976442,0,5000,0+76548,5000,898910,698628,0");
+    (Batch 32, Traced, Quiesce,
+     "31e433924a2b7c2c966e6677417be45e/534504,0,2528,0+38871,2528,495246,393844,0/441938,0,2472,0+37677,2472,403664,304784,0");
+    (Batch 32, Traced, Fault_at_load,
+     "35f56cbf9a54a6acb6e85f52db6de491/877565,0,5000,1590+67796,5000,811109,610828,0");
+    (rr 16, Specialized, Plain,
+     "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0");
+    (rr 16, Specialized, Quiesce,
+     "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0/526834,27926,1349,0");
+    (rr 16, Specialized, Fault_at_load,
+     "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590");
+    (rr 16, Traced, Plain,
+     "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0+181128,5000,1839468,594232,1044860");
+    (rr 16, Traced, Quiesce,
+     "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0+132622,3651,1345506,433430,765660/526834,27926,1349,0+48512,1349,493522,160302,279260");
+    (rr 16, Traced, Fault_at_load,
+     "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590+157827,5000,1608412,508676,899360");
   ]
 
-let order_pin_case (policy, n_tasks, variant, expected) =
+let order_pin_case (engine, mode, variant, expected) =
   let name =
-    Printf.sprintf "order pin %s-%d %s" (policy_name policy) n_tasks (variant_name variant)
+    Printf.sprintf "order pin %s%s %s" (engine_name engine) (mode_name mode)
+      (variant_name variant)
   in
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "schedule digest and totals" expected
-        (order_pin policy n_tasks variant))
+        (order_pin engine mode variant))
+
+(* ----- action-less states ----- *)
+
+(* Strip the action of the first state a packet reaches. Rtc and the
+   scheduler raise with their own error text, on the interpreted and the
+   fused-runner path alike; Batch_rtc ends the packet's pass there and
+   completes it. *)
+let test_actionless specialized () =
+  let s = setup ~count:8 in
+  let p = s.program in
+  let first = Program.step p (Program.start p) Event.Packet_arrival in
+  let info =
+    Array.mapi
+      (fun i (ci : Program.cs_info) ->
+        if i = first then { ci with Program.action = None } else ci)
+      p.Program.info
+  in
+  let program = { p with Program.info; payload = None } in
+  if specialized then Specialize.install program;
+  let q = (Program.info program first).Program.qname in
+  let raises name run =
+    Alcotest.check_raises name
+      (Invalid_argument (name ^ ": control state " ^ q ^ " has no action"))
+      (fun () -> ignore (run ()))
+  in
+  raises "Rtc" (fun () -> Rtc.run s.worker program s.source);
+  raises "Scheduler" (fun () -> Scheduler.run s.worker program ~n_tasks:4 s.source);
+  let r = Batch_rtc.run ~batch:4 s.worker program s.source in
+  Alcotest.(check bool) "batch completes what it pulled" true (r.Metrics.packets > 0)
 
 (* ----- host-cost scaling ----- *)
 
@@ -148,4 +274,8 @@ let test_alloc_scaling () =
 
 let suite =
   List.map order_pin_case pins
-  @ [ Alcotest.test_case "alloc per packet flat in run length" `Quick test_alloc_scaling ]
+  @ [
+      Alcotest.test_case "action-less state interpreted" `Quick (test_actionless false);
+      Alcotest.test_case "action-less state specialized" `Quick (test_actionless true);
+      Alcotest.test_case "alloc per packet flat in run length" `Quick test_alloc_scaling;
+    ]
