@@ -142,18 +142,24 @@ let on_load t ~(mem : Memsim.Hierarchy.t) ~now (task : Nftask.t) =
           None
       | Some Kill_core -> None)
 
+(* The conversion {!guard} applies to a caught fault, exposed so the
+   specializer's fused runners can inline the barrier: count under [nf] and
+   quarantine with the reason's wire key. *)
+let convert t ~nf reason =
+  count t ~nf reason;
+  Event.Faulted (reason_to_key reason)
+
 (* Exception barrier around one action execution. [nf] attributes the fault
    (the control state's instance name). Armed countdowns fire *before* the
    body runs — no charge, no state mutation — so the outcome cannot depend
    on the executor. An organic exception escapes the body only after its
    base cost was charged; the partial work stays, exactly as on real
-   hardware, and the task is quarantined. *)
+   hardware, and the task is quarantined. Most packets arm nothing, so the
+   countdown probe is skipped while no countdown is armed. *)
 let guard t ~nf (action : Action.t) (ctx : Exec_ctx.t) (task : Nftask.t) =
-  let fire reason detail =
-    count t ~nf:detail reason;
-    Event.Faulted (reason_to_key reason)
-  in
   let armed_fire =
+    Hashtbl.length t.armed > 0
+    &&
     match task.Nftask.packet with
     | None -> false
     | Some p -> (
@@ -167,12 +173,12 @@ let guard t ~nf (action : Action.t) (ctx : Exec_ctx.t) (task : Nftask.t) =
             end
             else false)
   in
-  if armed_fire then fire Action_raise nf
+  if armed_fire then convert t ~nf Action_raise
   else
     try Action.execute action ctx task with
-    | Fault (reason, detail) -> fire reason detail
+    | Fault (reason, detail) -> convert t ~nf:detail reason
     | (Stack_overflow | Out_of_memory) as e -> raise e
-    | _ -> fire Action_raise nf
+    | _ -> convert t ~nf Action_raise
 
 (* Whether any injection machinery could influence a guarded action. Armed
    countdowns exist only for injected packet ids and injections are never
@@ -182,13 +188,6 @@ let guard t ~nf (action : Action.t) (ctx : Exec_ctx.t) (task : Nftask.t) =
    plane can go live mid-run) and skip the per-action hashtable probe while
    the plane is inert. *)
 let live t = Hashtbl.length t.injections > 0 || Hashtbl.length t.armed > 0
-
-(* The conversion {!guard} applies to a caught fault, exposed so the
-   specializer's fused runners can inline the barrier: count under [nf] and
-   quarantine with the reason's wire key. *)
-let convert t ~nf reason =
-  count t ~nf reason;
-  Event.Faulted (reason_to_key reason)
 
 (* Completion hook: every finishing task passes through here exactly once.
    [faulted] is the reason the task already faulted with (from its

@@ -6,7 +6,7 @@
 type t = {
   names : string array;
   index : (string, int) Hashtbl.t;
-  edges : (int, (string * int) list) Hashtbl.t;  (* cs -> (event key, cs') *)
+  outs : (string * int) list array;  (* cs -> (event key, cs'), in insertion order *)
 }
 
 module Builder = struct
@@ -41,15 +41,14 @@ module Builder = struct
     if not (List.exists (fun (s, e, d) -> s = src && String.equal e event && d = dst) b.b_edges)
     then b.b_edges <- (src, event, dst) :: b.b_edges
 
+  (* [b_edges] is newest first, so prepending leaves each state's
+     out-edges in insertion order — the order {!successors} reports and
+     the scheduler issues prefetches in. *)
   let build b =
     let names = Array.of_list (List.rev b.b_names) in
-    let edges = Hashtbl.create (Array.length names) in
-    List.iter
-      (fun (s, e, d) ->
-        let cur = Option.value ~default:[] (Hashtbl.find_opt edges s) in
-        Hashtbl.replace edges s ((e, d) :: cur))
-      b.b_edges;
-    { names; index = Hashtbl.copy b.b_index; edges }
+    let outs = Array.make (Array.length names) [] in
+    List.iter (fun (s, e, d) -> outs.(s) <- (e, d) :: outs.(s)) b.b_edges;
+    { names; index = Hashtbl.copy b.b_index; outs }
 end
 
 let n_states t = Array.length t.names
@@ -57,22 +56,27 @@ let name t i = t.names.(i)
 let index t name = Hashtbl.find_opt t.index name
 
 let step t cs event =
-  match Hashtbl.find_opt t.edges cs with
-  | None -> None
-  | Some outs ->
+  match t.outs.(cs) with
+  | [] -> None
+  | outs ->
       let key = Event.to_key event in
       List.find_map (fun (e, d) -> if String.equal e key then Some d else None) outs
 
-let successors t cs =
-  Option.value ~default:[] (Hashtbl.find_opt t.edges cs) |> List.map snd
+let successors t cs = List.map snd t.outs.(cs)
 
 let edges t =
-  Hashtbl.fold
-    (fun src outs acc -> List.fold_left (fun acc (e, d) -> (src, e, d) :: acc) acc outs)
-    t.edges []
+  let acc = ref [] in
+  for src = n_states t - 1 downto 0 do
+    acc := List.fold_right (fun (e, d) acc -> (src, e, d) :: acc) t.outs.(src) !acc
+  done;
+  !acc
 
 let predecessors t cs =
-  List.filter_map (fun (s, _, d) -> if d = cs then Some s else None) (edges t)
+  let acc = ref [] in
+  for src = n_states t - 1 downto 0 do
+    List.iter (fun (_, d) -> if d = cs then acc := src :: !acc) t.outs.(src)
+  done;
+  !acc
 
 (* States with no outgoing edges are terminal. *)
-let is_terminal t cs = successors t cs = []
+let is_terminal t cs = match t.outs.(cs) with [] -> true | _ :: _ -> false

@@ -28,8 +28,13 @@ val index : t -> string -> int option
 (** Δ: the successor on an event, if defined. *)
 val step : t -> int -> Event.t -> int option
 
+(** Successors in the order their edges were added. *)
 val successors : t -> int -> int list
+
 val predecessors : t -> int -> int list
+
+(** [(src, event key, dst)] by ascending [src], each state's edges in the
+    order they were added. *)
 val edges : t -> (int * string * int) list
 
 (** No outgoing edges. *)

@@ -30,7 +30,7 @@ module Collector = struct
     if t.n = 0 then None
     else begin
       let sorted = Array.sub t.samples 0 t.n in
-      Array.sort compare sorted;
+      Array.sort Int.compare sorted;
       (* Exact nearest-rank: the p-th percentile is the smallest sample
          with at least ceil(p*n/100) samples <= it. *)
       let pct p = sorted.(max 0 (((p * t.n) + 99) / 100 - 1)) in

@@ -71,21 +71,22 @@ let set_of_line t line =
 
 let base t line = set_of_line t line * t.assoc
 
-(* Find the way holding [line] in its set, or -1. Invalid slots sit at the
-   tail, so the scan can stop at the first -1. *)
-let find_way t line =
+(* The way holding [line] in its set, or [-(valid_ways + 1)] when absent,
+   with no effect on recency or counters. Invalid slots sit at the tail, so
+   the scan stops at the first -1, which is also the valid-way count a
+   following {!fill_line} needs. *)
+let lookup_line t line =
   let b = base t line in
   let tags = t.tags in
-  let last = b + t.assoc in
-  let rec go i =
-    if i = last then -1
+  let rec go w =
+    if w = t.assoc then -(w + 1)
     else
-      let tag = tags.(i) in
-      if tag = line then i else if tag = -1 then -1 else go (i + 1)
+      let tag = tags.(b + w) in
+      if tag = line then w else if tag = -1 then -(w + 1) else go (w + 1)
   in
-  go b
+  go 0
 
-let contains_line t line = find_way t line >= 0
+let contains_line t line = lookup_line t line >= 0
 
 let contains t addr = contains_line t (line_of_addr t addr)
 
@@ -168,8 +169,9 @@ let probe_line t line =
     go (b + 1)
   end
 
-(* Install [line] into a set that {!probe_line} just missed with
-   [valid_ways] valid entries, with no intervening operation on this cache.
+(* Install [line] into a set that {!probe_line} or {!lookup_line} just
+   missed with [valid_ways] valid entries, with no intervening operation on
+   this cache.
    Identical decision to {!install_line}: a free way if one exists,
    otherwise evict the LRU (tail) way. *)
 let fill_line t line valid_ways =

@@ -34,9 +34,16 @@ val access_line : t -> int -> bool
     so a following [fill_line] can install without re-scanning the set. *)
 val probe_line : t -> int -> int
 
+(** Side-effect-free probe: the way holding the line, or
+    [-(valid_ways + 1)] when it is absent, so a following [fill_line] can
+    install without re-scanning the set. Touches neither recency nor
+    counters. *)
+val lookup_line : t -> int -> int
+
 (** [fill_line t line valid_ways] installs [line] into the set a
-    [probe_line] just missed with [valid_ways] valid entries (no intervening
-    operation on [t]). Same eviction decision and return as [install_line]. *)
+    [probe_line] or [lookup_line] just missed with [valid_ways] valid
+    entries (no intervening operation on [t]). Same eviction decision and
+    return as [install_line]. *)
 val fill_line : t -> int -> int -> int option
 
 (** Presence test without touching LRU state or counters. *)

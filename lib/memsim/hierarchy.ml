@@ -68,7 +68,7 @@ type t = {
   line_bits : int;
   mshr_line : int array;   (* -1 = free slot *)
   mshr_ready : int array;
-  mutable mshr_used : bool;  (* false until the first slot is occupied *)
+  mutable mshr_horizon : int;  (* no slot's fill is pending at or after this time *)
   mutable tap : tap option;
   mutable reads : int;
   mutable writes : int;
@@ -104,7 +104,7 @@ let create ?(cfg = default_config) () =
     line_bits = log2_exact cfg.line_bytes;
     mshr_line = Array.make cfg.mshr_count (-1);
     mshr_ready = Array.make cfg.mshr_count 0;
-    mshr_used = false;
+    mshr_horizon = min_int;
     tap = None;
     reads = 0;
     writes = 0;
@@ -141,25 +141,32 @@ let lines_of t ~addr ~bytes =
   end
 
 (* MSHR helpers; slots whose deadline has passed are reclaimed lazily.
-   [mshr_used] stays false until the first prefetch or stall occupies a
-   slot, letting demand-only executors (per-packet RTC) skip the scan on
-   every line access. *)
+   [mshr_horizon] is the largest ready time any slot was given since the
+   last {!clear}: at or after it nothing is pending and every slot is
+   free, so most line accesses (all of them under demand-only executors
+   such as per-packet RTC) skip the slot scan. Freeing a slot leaves the
+   horizon as it is; it stays an upper bound. *)
+
+let occupy t slot ~line ~ready =
+  t.mshr_line.(slot) <- line;
+  t.mshr_ready.(slot) <- ready;
+  if ready > t.mshr_horizon then t.mshr_horizon <- ready
 
 let mshr_find t line =
-  if not t.mshr_used then -1
-  else
-    let n = Array.length t.mshr_line in
-    let rec go i = if i = n then -1 else if t.mshr_line.(i) = line then i else go (i + 1) in
-    go 0
+  let n = Array.length t.mshr_line in
+  let rec go i = if i = n then -1 else if t.mshr_line.(i) = line then i else go (i + 1) in
+  go 0
 
 let mshr_free_slot t ~now =
-  let n = Array.length t.mshr_line in
-  let rec go i =
-    if i = n then -1
-    else if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then i
-    else go (i + 1)
-  in
-  go 0
+  if now >= t.mshr_horizon then 0
+  else
+    let n = Array.length t.mshr_line in
+    let rec go i =
+      if i = n then -1
+      else if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then i
+      else go (i + 1)
+    in
+    go 0
 
 let mshr_pending_count t ~now =
   let count = ref 0 in
@@ -177,8 +184,10 @@ let mshr_deadlines t ~now =
 
 (* Pending completion time for [line], if in flight and not yet done. *)
 let mshr_pending t ~now line =
-  let i = mshr_find t line in
-  if i >= 0 && t.mshr_ready.(i) > now then Some t.mshr_ready.(i) else None
+  if now >= t.mshr_horizon then None
+  else
+    let i = mshr_find t line in
+    if i >= 0 && t.mshr_ready.(i) > now then Some t.mshr_ready.(i) else None
 
 let mshr_clear t line =
   let i = mshr_find t line in
@@ -285,7 +294,10 @@ let write t ~now ~addr ~bytes =
 (* Issue an asynchronous prefetch for every line of the block. Returns the
    number of prefetches actually issued (0 when everything was already
    resident or pending). Lines are installed immediately so they contend for
-   cache space from the moment of issue. *)
+   cache space from the moment of issue. Each level is looked up once per
+   line, without touching recency; a miss reports the set's valid-way
+   count, so the fills skip a second scan. The levels are separate arrays,
+   so filling one leaves the others' counts exact. *)
 let prefetch t ~now ~addr ~bytes =
   if bytes <= 0 then 0
   else begin
@@ -293,8 +305,10 @@ let prefetch t ~now ~addr ~bytes =
     let last = line_of t (addr + bytes - 1) in
     let issued = ref 0 in
     for line = first to last do
-      if Cache.contains_line t.l1 line || Cache.contains_line t.l2 line then
-        t.prefetch_redundant <- t.prefetch_redundant + 1
+      let w1 = Cache.lookup_line t.l1 line in
+      (* An L1 hit skips the L2 lookup; [w2] is then just non-negative. *)
+      let w2 = if w1 >= 0 then w1 else Cache.lookup_line t.l2 line in
+      if w2 >= 0 then t.prefetch_redundant <- t.prefetch_redundant + 1
       else
         match mshr_pending t ~now line with
         | Some _ -> t.prefetch_redundant <- t.prefetch_redundant + 1
@@ -302,17 +316,17 @@ let prefetch t ~now ~addr ~bytes =
             match mshr_free_slot t ~now with
             | -1 -> t.prefetch_dropped <- t.prefetch_dropped + 1
             | slot ->
+                let w3 = Cache.lookup_line t.llc line in
                 let lat =
-                  if Cache.contains_line t.llc line then t.cfg.lat_llc
-                  else t.cfg.lat_dram
+                  if w3 >= 0 then t.cfg.lat_llc
+                  else begin
+                    ignore (Cache.fill_line t.llc line (-w3 - 1));
+                    t.cfg.lat_dram
+                  end
                 in
-                if not (Cache.contains_line t.llc line) then
-                  ignore (Cache.install_line t.llc line);
-                ignore (Cache.install_line t.l2 line);
-                ignore (Cache.install_line t.l1 line);
-                t.mshr_line.(slot) <- line;
-                t.mshr_ready.(slot) <- now + lat;
-                t.mshr_used <- true;
+                ignore (Cache.fill_line t.l2 line (-w2 - 1));
+                ignore (Cache.fill_line t.l1 line (-w1 - 1));
+                occupy t slot ~line ~ready:(now + lat);
                 t.prefetch_issued <- t.prefetch_issued + 1;
                 incr issued)
     done;
@@ -376,12 +390,10 @@ let stall_mshrs t ~now ~cycles =
   let n = Array.length t.mshr_line in
   for i = 0 to n - 1 do
     if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then begin
-      t.mshr_line.(i) <- max_int - i;
-      t.mshr_ready.(i) <- now + cycles;
+      occupy t i ~line:(max_int - i) ~ready:(now + cycles);
       incr stalled
     end
   done;
-  if !stalled > 0 then t.mshr_used <- true;
   t.mshr_stalls <- t.mshr_stalls + !stalled;
   !stalled
 
@@ -390,4 +402,4 @@ let clear t =
   Cache.clear t.l2;
   Cache.clear t.llc;
   Array.fill t.mshr_line 0 (Array.length t.mshr_line) (-1);
-  t.mshr_used <- false
+  t.mshr_horizon <- min_int

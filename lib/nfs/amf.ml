@@ -223,34 +223,36 @@ let dispatch_action t =
       in
       Event.User (msg_event msg))
 
+(* The context slice is resolved to (offset, bytes) slots when the action
+   is built, as the compiler resolves F to concrete slices: a call adds the
+   UE's record address and reads the slots in [message_fields] order. *)
 let handler_action t msg =
-  let fields = message_fields msg in
+  let slot f = (State_arena.field_offset t.arena f, field_bytes f) in
+  let slots = Array.of_list (List.map slot (message_fields msg)) in
+  let proc_off, proc_bytes = slot "proc_state" in
+  let completes = msg = Traffic.Mgw.Registration_complete in
   Action.make ~base_cycles:(message_cycles msg)
     ~base_instrs:(message_cycles msg * 4 / 5)
     ~name:(t.name ^ "." ^ handler_cs msg)
     (fun ctx task ->
       let ue = Nf_common.matched_exn task t.name in
+      let record = State_arena.addr t.arena ue in
       (* Touch exactly the declared context slice. *)
-      List.iter
-        (fun f ->
-          Exec_ctx.read ctx ~cls:Sref.Per_flow
-            ~addr:(State_arena.field_addr t.arena ue f)
-            ~bytes:(field_bytes f))
-        fields;
+      for i = 0 to Array.length slots - 1 do
+        let off, bytes = slots.(i) in
+        Exec_ctx.read ctx ~cls:Sref.Per_flow ~addr:(record + off) ~bytes
+      done;
       (* Drive the UE lifecycle state machine. *)
       (match lifecycle_step ~phase:t.progress.(ue) msg with
       | Some next ->
           t.progress.(ue) <- next;
-          if msg = Traffic.Mgw.Registration_complete then
-            t.registrations.(ue) <- t.registrations.(ue) + 1
+          if completes then t.registrations.(ue) <- t.registrations.(ue) + 1
       | None ->
           (* Out-of-order NAS message: count and resynchronise. *)
           t.protocol_errors <- t.protocol_errors + 1;
           t.progress.(ue) <- resync_phase msg);
       (* Persist the updated procedure state. *)
-      Exec_ctx.write ctx ~cls:Sref.Per_flow
-        ~addr:(State_arena.field_addr t.arena ue "proc_state")
-        ~bytes:(field_bytes "proc_state");
+      Exec_ctx.write ctx ~cls:Sref.Per_flow ~addr:(record + proc_off) ~bytes:proc_bytes;
       Event.Packet_arrival)
 
 let handler_instance t : Compiler.instance =

@@ -185,6 +185,78 @@ let qcheck_prefetch_makes_ready =
       ignore (Hierarchy.prefetch h ~now:0 ~addr ~bytes:8);
       Hierarchy.ready h ~now:(cfg.Hierarchy.lat_dram + 1) ~addr ~bytes:8)
 
+(* Equivalence pin: a seeded random stream of every hierarchy operation,
+   with [now] mostly advancing and sometimes stepping back, digested over
+   every return value and the final counters of the hierarchy and of each
+   level. Lines are [tag * span + j] for eight [j]s. With [span] the LLC's
+   set count, each tag of one [j] lands in the same set of every level;
+   with [span] the L2's, the tags share an L2 set but spread over LLC sets,
+   so lines the L2 evicts can still hit in the LLC. [tags] exceeds every
+   associativity, so every level evicts, and a skewed tag draw keeps some
+   lines hot enough to hit. The default geometry's
+   11-way LLC has a non-power-of-two set count. The digests were recorded
+   before the prefetch path probed each level once and before the MSHR
+   horizon. *)
+let op_stream_digest ~cfg ~tags ~ops =
+  let h = mk ~cfg () in
+  let l2_sets = Cache.nsets (Hierarchy.l2 h) and llc_sets = Cache.nsets (Hierarchy.llc h) in
+  let rng = Rng.create 2024 in
+  let buf = Buffer.create (ops * 8) in
+  let now = ref 0 in
+  let block () =
+    let span = if Rng.bool rng then l2_sets else llc_sets in
+    let line = (Rng.int rng (1 + Rng.int rng tags) * span) + Rng.int rng 8 in
+    ((line * cfg.Hierarchy.line_bytes) + Rng.int rng 64, Rng.int rng 257)
+  in
+  for _ = 1 to ops do
+    if Rng.int rng 8 = 0 then now := max 0 (!now - Rng.int rng 400)
+    else now := !now + Rng.int rng 120;
+    let now = !now in
+    let op = Rng.int rng 100 in
+    if op < 30 then begin
+      let addr, bytes = block () in
+      Printf.bprintf buf "r%d;" (Hierarchy.read h ~now ~addr ~bytes)
+    end
+    else if op < 45 then begin
+      let addr, bytes = block () in
+      Printf.bprintf buf "w%d;" (Hierarchy.write h ~now ~addr ~bytes)
+    end
+    else if op < 75 then begin
+      let addr, bytes = block () in
+      Printf.bprintf buf "p%d;" (Hierarchy.prefetch h ~now ~addr ~bytes)
+    end
+    else if op < 85 then begin
+      let addr, bytes = block () in
+      Printf.bprintf buf "y%b;" (Hierarchy.ready h ~now ~addr ~bytes)
+    end
+    else if op < 93 then begin
+      let addr, bytes = block () in
+      Printf.bprintf buf "s%b;" (Hierarchy.resident h ~addr ~bytes)
+    end
+    else if op < 96 then Printf.bprintf buf "m%d;" (Hierarchy.mshr_pending_count h ~now)
+    else if op < 99 then
+      Printf.bprintf buf "x%d;" (Hierarchy.stall_mshrs h ~now ~cycles:(Rng.int rng 600))
+    else begin
+      Hierarchy.clear h;
+      Buffer.add_string buf "c;"
+    end
+  done;
+  let c = Hierarchy.counters h in
+  Printf.bprintf buf "|%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d" c.Memstats.reads
+    c.Memstats.writes c.Memstats.line_accesses c.Memstats.l1_hits c.Memstats.l2_hits
+    c.Memstats.llc_hits c.Memstats.dram_fills c.Memstats.mshr_waits c.Memstats.wait_cycles
+    c.Memstats.prefetch_issued c.Memstats.prefetch_redundant c.Memstats.prefetch_dropped
+    c.Memstats.mshr_stalls;
+  List.iter
+    (fun cache ->
+      Printf.bprintf buf "|%d,%d,%d,%d" (Cache.hits cache) (Cache.misses cache)
+        (Cache.evictions cache) (Cache.installs cache))
+    [ Hierarchy.l1 h; Hierarchy.l2 h; Hierarchy.llc h ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_op_stream_pin name ~cfg ~tags ~expected () =
+  Alcotest.(check string) name expected (op_stream_digest ~cfg ~tags ~ops:20_000)
+
 let suite =
   [
     Alcotest.test_case "cold read = DRAM" `Quick test_cold_read_is_dram;
@@ -206,6 +278,12 @@ let suite =
     Alcotest.test_case "write counts" `Quick test_write_counts;
     Alcotest.test_case "counters diff" `Quick test_counters_diff;
     Alcotest.test_case "memstats derived metrics" `Quick test_memstats_derived;
+    Alcotest.test_case "op stream pin, small geometry" `Quick
+      (test_op_stream_pin "small" ~cfg:small_cfg ~tags:6
+         ~expected:"39e954ce6a4c7a588ce833f5adfcdb49");
+    Alcotest.test_case "op stream pin, default geometry" `Quick
+      (test_op_stream_pin "default" ~cfg ~tags:24
+         ~expected:"ffa15bd8013de050c2ee892326644644");
     Helpers.qcheck qcheck_read_latency_bounded;
     Helpers.qcheck qcheck_prefetch_makes_ready;
   ]

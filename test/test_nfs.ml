@@ -267,6 +267,45 @@ let test_amf_packing_reduces_lines () =
   Alcotest.(check bool) "packing reduces total lines per call flow" true
     (lines p < lines u)
 
+(* Each handler demand-accesses exactly its message's fields, in
+   [message_fields] order, then writes [proc_state]. The expected lines are
+   derived from the field table and the arena's offsets alone; the handler
+   runs directly on a task matched to one UE, with a tap on the hierarchy
+   recording every demand line. *)
+let test_amf_handler_lines () =
+  List.iter
+    (fun packed ->
+      let ctx = Exec_ctx.create () in
+      let amf = Nfs.Amf.create ctx.Exec_ctx.layout ~name:"amf" ~packed ~n_ues:8 () in
+      let inst = Nfs.Amf.handler_instance amf in
+      let arena = amf.Nfs.Amf.arena in
+      let ue = 5 in
+      let record = Structures.State_arena.addr arena ue in
+      let field_lines f =
+        Memsim.Hierarchy.lines_of ctx.Exec_ctx.mem
+          ~addr:(record + Structures.State_arena.field_offset arena f)
+          ~bytes:(List.assoc f Nfs.Amf.context_fields)
+      in
+      List.iter
+        (fun msg ->
+          let cs = "handle_" ^ String.lowercase_ascii (Traffic.Mgw.amf_msg_name msg) in
+          let action = List.assoc cs inst.Compiler.i_actions in
+          let expected =
+            List.concat_map field_lines (Nfs.Amf.message_fields msg @ [ "proc_state" ])
+          in
+          let seen = ref [] in
+          Memsim.Hierarchy.set_tap ctx.Exec_ctx.mem
+            (Some (fun ~now:_ ~line ~served:_ ~cycles:_ -> seen := line :: !seen));
+          let task = Nftask.create 0 in
+          task.Nftask.matched <- ue;
+          ignore (Action.execute action ctx task);
+          Memsim.Hierarchy.set_tap ctx.Exec_ctx.mem None;
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s lines (packed=%b)" cs packed)
+            expected (List.rev !seen))
+        Traffic.Mgw.all_amf_msgs)
+    [ false; true ]
+
 (* ----- SFC ----- *)
 
 let test_sfc_lengths_build_and_run () =
@@ -355,6 +394,7 @@ let suite =
     Alcotest.test_case "amf packed equivalent" `Quick test_amf_packed_equivalent;
     Alcotest.test_case "amf context large" `Quick test_amf_context_large;
     Alcotest.test_case "amf packing reduces lines" `Quick test_amf_packing_reduces_lines;
+    Alcotest.test_case "amf handler touches its slots" `Quick test_amf_handler_lines;
     Alcotest.test_case "sfc lengths build/run" `Quick test_sfc_lengths_build_and_run;
     Alcotest.test_case "sfc invalid length" `Quick test_sfc_invalid_length;
     Alcotest.test_case "sfc applies all NFs" `Quick test_sfc_applies_all_nfs;

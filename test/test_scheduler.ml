@@ -9,8 +9,12 @@
    with the stash kept as a plain arrival-ordered list, so they prove the
    indexed stash picks the same items; the rtc and batch pins, and the
    specialized and traced modes, were recorded before the engines shared
-   one per-packet kernel. The allocation test bounds the host cost of the
-   stash per packet as runs grow longer. *)
+   one per-packet kernel. Two more sources run through the same harness: a
+   packed-AMF signalling source (per-UE contexts of 20+ lines, one handler
+   slot per message) under batch and rtc, and a UPF downlink source under
+   the interleaved scheduler, whose prefetches keep the MSHRs busy. The
+   allocation test bounds the host cost of the stash per packet as runs
+   grow longer. *)
 
 open Gunfu
 
@@ -18,17 +22,41 @@ let n_flows = 64
 
 type setup = { worker : Worker.t; source : Workload.source; program : Program.t }
 
-let setup ~count =
+(* [Nat_zipf] is the skewed NAT source above; [Amf_packed] is registration
+   signalling over 2048 UEs with the data-packed context layout;
+   [Upf_downlink] is uniform downlink over 4096 sessions x 16 PDRs. *)
+type src = Nat_zipf | Amf_packed | Upf_downlink
+
+let setup ?(src = Nat_zipf) ~count () =
   let worker = Worker.create ~id:0 () in
   let layout = Worker.layout worker in
-  let gen =
-    Traffic.Flowgen.create ~seed:11 ~popularity:(Traffic.Flowgen.Zipf 1.1)
-      ~size_model:(Traffic.Flowgen.Fixed 64) ~n_flows ()
-  in
   let pool = Netcore.Packet.Pool.create layout ~count:256 in
-  let nat = Nfs.Nat.create layout ~name:"nat" ~n_flows () in
-  Nfs.Nat.populate nat (Traffic.Flowgen.flows gen);
-  { worker; source = Workload.of_flowgen gen ~pool ~count; program = Nfs.Nat.program nat }
+  match src with
+  | Nat_zipf ->
+      let gen =
+        Traffic.Flowgen.create ~seed:11 ~popularity:(Traffic.Flowgen.Zipf 1.1)
+          ~size_model:(Traffic.Flowgen.Fixed 64) ~n_flows ()
+      in
+      let nat = Nfs.Nat.create layout ~name:"nat" ~n_flows () in
+      Nfs.Nat.populate nat (Traffic.Flowgen.flows gen);
+      { worker; source = Workload.of_flowgen gen ~pool ~count; program = Nfs.Nat.program nat }
+  | Amf_packed ->
+      let n_ues = 2048 in
+      let gen = Traffic.Mgw.amf_create ~seed:11 ~n_ues () in
+      let amf = Nfs.Amf.create layout ~name:"amf" ~packed:true ~n_ues () in
+      Nfs.Amf.populate amf;
+      { worker; source = Workload.of_amf gen ~pool ~count; program = Nfs.Amf.program amf }
+  | Upf_downlink ->
+      let mgw = Traffic.Mgw.create ~seed:11 ~n_sessions:4096 ~n_pdrs:16 ~wire_len:128 () in
+      let upf =
+        Nfs.Upf.create layout ~name:"upf" ~sessions:(Traffic.Mgw.sessions mgw) ~n_pdrs:16 ()
+      in
+      Nfs.Upf.populate upf;
+      {
+        worker;
+        source = Workload.of_mgw_downlink mgw ~pool ~count;
+        program = Nfs.Upf.program upf;
+      }
 
 (* ----- order pins ----- *)
 
@@ -56,8 +84,8 @@ let run_engine engine ?quiesce ?fault ?telemetry ~on_complete worker program sou
    the cycle, switch, packet and fault totals of every run call of the
    case, and for a traced call the tracer's span count, completions and
    attributed/action/switch cycles. *)
-let order_pin engine mode variant =
-  let s = setup ~count:packets in
+let order_pin src engine mode variant =
+  let s = setup ~src ~count:packets () in
   if mode = Specialized then Specialize.install s.program;
   let ctx = Worker.ctx s.worker in
   let buf = Buffer.create (packets * 24) in
@@ -117,6 +145,11 @@ let mode_name = function
   | Interp -> ""
   | Specialized -> " specialized"
   | Traced -> " traced"
+
+let src_name = function
+  | Nat_zipf -> ""
+  | Amf_packed -> "amf "
+  | Upf_downlink -> "upf "
 
 let variant_name = function
   | Plain -> "plain"
@@ -214,14 +247,37 @@ let pins =
      "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590+157827,5000,1608412,508676,899360");
   ]
 
-let order_pin_case (engine, mode, variant, expected) =
+(* Pins of the other sources, recorded with the same harness. *)
+let source_pins =
+  [
+    (Amf_packed, Batch 32, Interp, Plain,
+     "b6cc7f1ed2f6f64a1a1eeb42fca3dd60/18906187,0,5000,0");
+    (Amf_packed, Batch 32, Interp, Quiesce,
+     "b6cc7f1ed2f6f64a1a1eeb42fca3dd60/10358634,0,2528,0/8547553,0,2472,0");
+    (Amf_packed, Batch 32, Interp, Fault_at_load,
+     "75507244a59411e3471c5b02d2046b06/16382167,0,5000,719");
+    (Amf_packed, Rtc, Interp, Plain,
+     "8de5302e4b9647405bd8d0fe96beddc1/19144838,0,5000,0");
+    (Amf_packed, Rtc, Interp, Quiesce,
+     "8de5302e4b9647405bd8d0fe96beddc1/10470365,0,2500,0/8674473,0,2500,0");
+    (Amf_packed, Rtc, Interp, Fault_at_load,
+     "b6d11abb5bf821587b09fd38438abd89/16618662,0,5000,719");
+    (Upf_downlink, rr 16, Interp, Plain,
+     "be8ab9d1aa2562cec9a2541d9600cbf8/2190163,47460,5000,0");
+    (Upf_downlink, rr 16, Interp, Quiesce,
+     "cae4514adcbaf8517ef738974837c3fd/1087498,23865,2515,0/1103485,23691,2485,0");
+    (Upf_downlink, rr 16, Interp, Fault_at_load,
+     "55bb645ec4c25f04fbcb8ce0307b51c9/1901126,40683,5000,716");
+  ]
+
+let order_pin_case (src, engine, mode, variant, expected) =
   let name =
-    Printf.sprintf "order pin %s%s %s" (engine_name engine) (mode_name mode)
+    Printf.sprintf "order pin %s%s%s %s" (src_name src) (engine_name engine) (mode_name mode)
       (variant_name variant)
   in
   Alcotest.test_case name `Quick (fun () ->
       Alcotest.(check string) "schedule digest and totals" expected
-        (order_pin engine mode variant))
+        (order_pin src engine mode variant))
 
 (* ----- action-less states ----- *)
 
@@ -230,7 +286,7 @@ let order_pin_case (engine, mode, variant, expected) =
    fused-runner path alike; Batch_rtc ends the packet's pass there and
    completes it. *)
 let test_actionless specialized () =
-  let s = setup ~count:8 in
+  let s = setup ~count:8 () in
   let p = s.program in
   let first = Program.step p (Program.start p) Event.Packet_arrival in
   let info =
@@ -258,7 +314,7 @@ let test_actionless specialized () =
    populate stay outside the measurement; what remains is the source, the
    engine and the stash. *)
 let alloc_words_per_pkt ~count =
-  let s = setup ~count in
+  let s = setup ~count () in
   let w0 = Gc.minor_words () in
   let r = Scheduler.run s.worker s.program ~n_tasks:16 s.source in
   let words = Gc.minor_words () -. w0 in
@@ -273,7 +329,8 @@ let test_alloc_scaling () =
       short long
 
 let suite =
-  List.map order_pin_case pins
+  List.map order_pin_case
+    (List.map (fun (e, m, v, d) -> (Nat_zipf, e, m, v, d)) pins @ source_pins)
   @ [
       Alcotest.test_case "action-less state interpreted" `Quick (test_actionless false);
       Alcotest.test_case "action-less state specialized" `Quick (test_actionless true);
