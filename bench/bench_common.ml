@@ -21,8 +21,11 @@ let prep program =
   if !specialize then Specialize.install program;
   program
 
-(* Fresh per env: sized well beyond any executor's in-flight packet count
-   (max is the scheduler at 16 tasks + 64 stashed items). *)
+(* Fresh per env. The ring recycles records in pull order, so it must
+   outlast the oldest live packet's age in pulls. The scheduler holds at
+   most 16 tasks + 16 stashed items (one per task slot), and under Zipf
+   skew a live packet's age stays near a hundred pulls, far inside the
+   default 1024 (pinned by test_specialize.ml). *)
 let arena () = if !specialize then Some (Netcore.Packet.Arena.create ()) else None
 
 type model = Rtc_model | Interleaved of int

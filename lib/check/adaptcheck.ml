@@ -176,6 +176,17 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
     }
   in
   let oc = Adaptive.Driver.run ~epoch ~on_complete ~policy plant in
+  (* The merged run's stash high-water is bounded by the widest
+     interleaved configuration any leg ran with. *)
+  let stash_limit =
+    List.fold_left
+      (fun acc -> function Adaptive.Config.Il { n_tasks; _ } -> max acc n_tasks | _ -> acc)
+      0
+      (oc.Adaptive.Driver.o_final
+      :: List.concat_map
+           (fun d -> [ d.Adaptive.Driver.d_from; d.Adaptive.Driver.d_to ])
+           oc.Adaptive.Driver.o_decisions)
+  in
   let obs =
     {
       Oracle.o_label = "adaptive";
@@ -187,6 +198,7 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
         Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock;
       o_mshr_limit =
         (Memsim.Hierarchy.config ctx.Exec_ctx.mem).Memsim.Hierarchy.mshr_count;
+      o_stash_limit = stash_limit;
     }
   in
   ( {

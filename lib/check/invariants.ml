@@ -9,7 +9,9 @@
      the run's measured cycle window;
    - memsim accounting: every line access is served by exactly one level
      (or an in-flight fill), prefetch issue/redundant/dropped books
-     balance, and outstanding fills never exceed the MSHR count. *)
+     balance, and outstanding fills never exceed the MSHR count;
+   - stash bound: the scheduler's hazard stash never held more items
+     than the executor has task slots (rtc and batch never stash). *)
 
 open Gunfu
 
@@ -175,8 +177,15 @@ let check_memstats (o : Oracle.observation) : violation list =
        else []);
     ]
 
+let check_stash (o : Oracle.observation) : violation list =
+  let held = o.Oracle.o_run.Metrics.stash_max in
+  if held > o.Oracle.o_stash_limit then
+    [ v "stash" "hazard stash held %d items, bound is %d" held o.Oracle.o_stash_limit ]
+  else []
+
 let check (o : Oracle.observation) : violation list =
   check_conservation o @ check_flow_order o @ check_clock o @ check_memstats o
+  @ check_stash o
 
 (* ----- recovery-plane rules ----- *)
 

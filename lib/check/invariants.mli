@@ -1,8 +1,9 @@
 (** Executor-independent invariants checked on every oracle observation:
     packet conservation (pulled = emitted + dropped, counters agree),
-    per-flow order preservation, monotone simulated clock, and memory-
+    per-flow order preservation, monotone simulated clock, memory-
     hierarchy accounting (per-level serves sum to line accesses, counters
-    non-negative, outstanding fills within the MSHR budget). *)
+    non-negative, outstanding fills within the MSHR budget), and the
+    scheduler's stash bound (at most one stashed item per task slot). *)
 
 type violation = { v_rule : string; v_detail : string }
 
@@ -10,6 +11,9 @@ val check_conservation : Oracle.observation -> violation list
 val check_flow_order : Oracle.observation -> violation list
 val check_clock : Oracle.observation -> violation list
 val check_memstats : Oracle.observation -> violation list
+
+(** [stash_max <= o_stash_limit]. *)
+val check_stash : Oracle.observation -> violation list
 
 (** All of the above. *)
 val check : Oracle.observation -> violation list

@@ -35,6 +35,7 @@ type observation = {
   o_state : string;  (* final NF-state digest *)
   o_mshr_pending : int;  (* outstanding fills at end of run *)
   o_mshr_limit : int;
+  o_stash_limit : int;  (* n_tasks under the scheduler, 0 under rtc and batch *)
 }
 
 (* A freshly built system under test; consumed by exactly one run. *)
@@ -68,6 +69,7 @@ type divergence = {
 
 type executor = {
   x_name : string;
+  x_stash_limit : int;
   x_run :
     ?fault:Fault.t -> ?telemetry:Trace.t -> on_complete:(Nftask.t -> unit) ->
     Worker.t -> Program.t -> Workload.source -> Metrics.run;
@@ -76,6 +78,7 @@ type executor = {
 let reference =
   {
     x_name = "rtc";
+    x_stash_limit = 0;
     x_run =
       (fun ?fault ?telemetry ~on_complete w p s ->
         Rtc.run ?fault ?telemetry ~on_complete w p s);
@@ -89,6 +92,7 @@ let executors =
     (fun b ->
       {
         x_name = Printf.sprintf "batch-%d" b;
+        x_stash_limit = 0;
         x_run =
           (fun ?fault ?telemetry ~on_complete w p s ->
             Batch_rtc.run ~batch:b ?fault ?telemetry ~on_complete w p s);
@@ -99,6 +103,7 @@ let executors =
         [
           {
             x_name = Printf.sprintf "rr-%d" n;
+            x_stash_limit = n;
             x_run =
               (fun ?fault ?telemetry ~on_complete w p s ->
                 Scheduler.run ~policy:Scheduler.Round_robin ?fault ?telemetry
@@ -106,6 +111,7 @@ let executors =
           };
           {
             x_name = Printf.sprintf "rf-%d" n;
+            x_stash_limit = n;
             x_run =
               (fun ?fault ?telemetry ~on_complete w p s ->
                 Scheduler.run ~policy:Scheduler.Ready_first ?fault ?telemetry
@@ -186,6 +192,7 @@ let observe ?(specialize = false) ?plan ?telemetry (x : executor) (inst : instan
     o_state = Fingerprint.of_fn inst.digest;
     o_mshr_pending = Memsim.Hierarchy.mshr_pending_count mem ~now:ctx.Exec_ctx.clock;
     o_mshr_limit = (Memsim.Hierarchy.config mem).Memsim.Hierarchy.mshr_count;
+    o_stash_limit = x.x_stash_limit;
   }
 
 (* ----- diffing ----- *)

@@ -30,6 +30,9 @@ type observation = {
   o_state : string;  (** final NF-state digest *)
   o_mshr_pending : int;  (** outstanding fills at end of run *)
   o_mshr_limit : int;
+  o_stash_limit : int;
+      (** most items the executor may stash: n_tasks under the scheduler,
+          0 under rtc and batch *)
 }
 
 type instance = {
@@ -60,6 +63,7 @@ type divergence = {
 
 type executor = {
   x_name : string;
+  x_stash_limit : int;  (** the {!observation.o_stash_limit} of its runs *)
   x_run :
     ?fault:Fault.t -> ?telemetry:Trace.t -> on_complete:(Nftask.t -> unit) ->
     Worker.t -> Program.t -> Workload.source -> Metrics.run;

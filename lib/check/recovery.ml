@@ -574,6 +574,7 @@ let observe_core ~label ~plane (ci : core_instance) source : Oracle.observation 
     o_mshr_pending =
       Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock;
     o_mshr_limit = (Memsim.Hierarchy.config ctx.Exec_ctx.mem).Memsim.Hierarchy.mshr_count;
+    o_stash_limit = 0;
   }
 
 (* Location-independent final-state digest: each universe flow's NF state

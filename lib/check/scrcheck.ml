@@ -109,6 +109,7 @@ let scr_pass ?plan ?(spray = Scaleout.Spray.Round_robin)
                 ~now:ctx.Exec_ctx.clock;
             o_mshr_limit =
               (Memsim.Hierarchy.config ctx.Exec_ctx.mem).Memsim.Hierarchy.mshr_count;
+            o_stash_limit = 0;
           } ))
   in
   let merged =

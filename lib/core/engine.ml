@@ -18,6 +18,7 @@ type t = {
   mutable drops : int;
   mutable wire_bytes : int;
   mutable faulted : int;
+  mutable stash_max : int;
 }
 
 let no_action name qname = Printf.sprintf "%s: control state %s has no action" name qname
@@ -52,6 +53,7 @@ let run ~name ~label ?quiesce ?fault ?telemetry ?on_complete (worker : Worker.t)
       drops = 0;
       wire_bytes = 0;
       faulted = 0;
+      stash_max = 0;
     }
   in
   let switches =
@@ -62,22 +64,24 @@ let run ~name ~label ?quiesce ?fault ?telemetry ?on_complete (worker : Worker.t)
   in
   Worker.finish
     ?latency:(Metrics.Collector.summarize e.latencies)
-    ~faulted:e.faulted ~faults:(Fault.counts plane) ~degraded:(Fault.degraded plane)
+    ~faulted:e.faulted ~stash_max:e.stash_max ~faults:(Fault.counts plane) ~degraded:(Fault.degraded plane)
     worker snap ~label ~packets:e.packets ~drops:e.drops ~wire_bytes:e.wire_bytes
     ~switches
 
 let step e cs ev = e.step cs ev
 let telemetry e = e.telemetry
 let want_pause e = match e.quiesce with Some q -> q () | None -> false
+let stashed e n = if n > e.stash_max then e.stash_max <- n
 
 let is_faulted (task : Nftask.t) =
   match task.Nftask.event with Event.Faulted _ -> true | _ -> false
 
-let load e (task : Nftask.t) (item : Workload.item) =
+let load e ?pulled_at (task : Nftask.t) (item : Workload.item) =
   let ctx = e.ctx in
   Nftask.load task ~cs:(Program.start e.program) ?packet:item.Workload.packet
     ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
   task.Nftask.start_clock <- ctx.Exec_ctx.clock;
+  task.Nftask.pulled_at <- Option.value pulled_at ~default:ctx.Exec_ctx.clock;
   Exec_ctx.compute ctx ~cycles:e.cfg.Worker.rx_tx_cycles ~instrs:e.cfg.Worker.rx_tx_instrs;
   (match e.telemetry with
   | Some tr ->
@@ -126,11 +130,11 @@ let complete e (task : Nftask.t) =
         match task.Nftask.packet with
         | Some p -> e.wire_bytes <- e.wire_bytes + p.Netcore.Packet.wire_len
         | None -> ());
-      Metrics.Collector.record e.latencies (now - task.Nftask.start_clock));
+      Metrics.Collector.record e.latencies (now - task.Nftask.pulled_at));
   (match e.telemetry with
   | Some tr ->
       Trace.on_complete tr ~ts:now ~task:task.Nftask.id
-        ~note:(Event.to_key task.Nftask.event) ~latency:(now - task.Nftask.start_clock)
+        ~note:(Event.to_key task.Nftask.event) ~latency:(now - task.Nftask.pulled_at)
   | None -> ());
   (match e.on_complete with Some f -> f task | None -> ());
   Nftask.retire task

@@ -35,11 +35,16 @@ val telemetry : t -> Trace.t option
     without one. *)
 val want_pause : t -> bool
 
+(** [stashed e n]: the executor's hazard stash now holds [n] items. The
+    run reports the high-water mark as {!Metrics.run.stash_max}. *)
+val stashed : t -> int -> unit
+
 (** Load [item] into [task] at the program's start state, stamp its start
-    clock, charge packet I/O, record the pull and parse spans, and consult
-    the fault plane: a task quarantined at load leaves with a
+    clock and its pull clock ([pulled_at], default now: an item loaded as
+    it is pulled), charge packet I/O, record the pull and parse spans, and
+    consult the fault plane: a task quarantined at load leaves with a
     [Faulted] event ({!is_faulted}) and must not execute. *)
-val load : t -> Nftask.t -> Workload.item -> unit
+val load : t -> ?pulled_at:int -> Nftask.t -> Workload.item -> unit
 
 (** Whether [cs] has an action. *)
 val has_action : t -> int -> bool
@@ -52,7 +57,7 @@ val has_action : t -> int -> bool
 val act : t -> Nftask.t -> unit
 
 (** Finish [task]: fault disposition, drop / wire-byte / latency
-    accounting, the completion span, the [on_complete] tap, then
+    (from the pull clock) accounting, the completion span, the [on_complete] tap, then
     {!Nftask.retire}. *)
 val complete : t -> Nftask.t -> unit
 

@@ -55,6 +55,7 @@ type run = {
   instrs : int;
   wire_bytes : int;
   switches : int;  (* NFTask switches (0 for RTC) *)
+  stash_max : int;  (* hazard-stash high-water mark (0 outside the scheduler) *)
   mem : Memsim.Memstats.t;
   freq_ghz : float;
   state_cycles : int array;  (* memory cycles per Sref state class *)
@@ -182,6 +183,7 @@ let merge_parallel = function
         instrs = sum (fun r -> r.instrs);
         wire_bytes = sum (fun r -> r.wire_bytes);
         switches = sum (fun r -> r.switches);
+        stash_max = List.fold_left (fun a r -> max a r.stash_max) 0 runs;
         mem = List.fold_left (fun a r -> Memsim.Memstats.add a r.mem) Memsim.Memstats.zero runs;
         freq_ghz = first.freq_ghz;
         state_cycles =
@@ -214,6 +216,7 @@ let merge_sequential ?label ?faults = function
         instrs = sum (fun r -> r.instrs);
         wire_bytes = sum (fun r -> r.wire_bytes);
         switches = sum (fun r -> r.switches);
+        stash_max = List.fold_left (fun a r -> max a r.stash_max) 0 runs;
         mem = List.fold_left (fun a r -> Memsim.Memstats.add a r.mem) Memsim.Memstats.zero runs;
         freq_ghz = first.freq_ghz;
         state_cycles =

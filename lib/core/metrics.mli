@@ -32,6 +32,9 @@ type run = {
   instrs : int;
   wire_bytes : int;
   switches : int;  (** NFTask switches (0 under RTC) *)
+  stash_max : int;
+      (** most items the scheduler's per-flow hazard stash held at once
+          (0 under RTC and batch, which never stash) *)
   mem : Memsim.Memstats.t;  (** counter delta over the run *)
   freq_ghz : float;
   state_cycles : int array;  (** memory cycles per {!Sref.state_class} *)
@@ -79,14 +82,14 @@ val pp_faults : Format.formatter -> run -> unit
     wire (packets - drops - faulted). *)
 val load_imbalance : run list -> float * float
 
-(** Combine concurrent per-core runs: counts add, cycles take the max
-    (latency distributions are not merged), and {!run.imbalance} is
+(** Combine concurrent per-core runs: counts add, cycles and
+    [stash_max] take the max (latency distributions are not merged), and {!run.imbalance} is
     computed over the inputs.
     @raise Invalid_argument on an empty list. *)
 val merge_parallel : run list -> run
 
 (** Combine sequential legs on one core (the adaptive driver's epochs):
-    counts and cycles both add. The fault taxonomy comes from the last leg
+    counts and cycles both add, [stash_max] takes the max. The fault taxonomy comes from the last leg
     (cumulative when the legs share one plane); [?faults] overrides it
     when they don't. Latency distributions are not merged.
     @raise Invalid_argument on an empty list. *)

@@ -39,6 +39,7 @@ type t = {
   mutable p_state : p_state;
   mutable active : bool;                  (* false = free slot awaiting a packet *)
   mutable start_clock : int;              (* cycle the work item was loaded *)
+  mutable pulled_at : int;                (* cycle it was pulled; latency counts from here *)
   temps : temps;
 }
 
@@ -57,6 +58,7 @@ let create id =
     p_state = P_none;
     active = false;
     start_clock = 0;
+    pulled_at = 0;
     temps = { key = 0L; h1 = -1; h2 = -1; cursor = -1; regs = Array.make 8 0 };
   }
 

@@ -35,7 +35,10 @@ type t = {
       (** blocks resolved by the last Fetch step — what [p_state] refers to *)
   mutable p_state : p_state;
   mutable active : bool;  (** [false]: free slot awaiting work *)
-  mutable start_clock : int;  (** cycle the work item was loaded (latency) *)
+  mutable start_clock : int;  (** cycle the work item was loaded *)
+  mutable pulled_at : int;
+      (** cycle the work item was pulled from the source; latency counts
+          from here, so it includes any wait in the scheduler's stash *)
   temps : temps;
 }
 

@@ -58,15 +58,16 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
      active tasks per flow.
 
      The stash is indexed so every operation is O(log n) in its size: a
-     per-flow FIFO of (arrival seq, item) in [stash], a priority queue
-     [ready] of the flows that are idle and have stashed items, keyed by
-     the seq of their head item, and the item count [stashed]. Taking the
-     minimum of [ready] yields the earliest-arrived stashed item whose flow is idle — the
-     item a front-to-back scan of the arrival-ordered stash would take —
-     so the schedule is exactly that of a plain list. Bookkeeping charges
-     no cycles. *)
+     per-flow FIFO of (arrival seq, pull clock, item) in [stash], a
+     priority queue [ready] of the flows that are idle and have stashed
+     items, keyed by the seq of their head item, and the item count
+     [stashed]. Taking the minimum of [ready] yields the earliest-arrived
+     stashed item whose flow is idle — the item a front-to-back scan of
+     the arrival-ordered stash would take. The pull clock travels with the
+     item, so its latency counts the stash wait. Bookkeeping charges no
+     cycles. *)
   let inflight : (int, int) Hashtbl.t = Hashtbl.create (4 * n_tasks) in
-  let stash : (int, (int * Workload.item) Queue.t) Hashtbl.t =
+  let stash : (int, (int * int * Workload.item) Queue.t) Hashtbl.t =
     Hashtbl.create (4 * n_tasks)
   in
   let ready = ref Ready.empty in
@@ -84,7 +85,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
       | Some 1 -> (
           Hashtbl.remove inflight fh;
           match Hashtbl.find_opt stash fh with
-          | Some q -> ready := Ready.add (fst (Queue.peek q), fh) !ready
+          | Some q ->
+              let head, _, _ = Queue.peek q in
+              ready := Ready.add (head, fh) !ready
           | None -> ())
       | Some n -> Hashtbl.replace inflight fh (n - 1)
       | None -> ()
@@ -97,10 +100,10 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     | Some ((_, fh) as head) ->
         ready := Ready.remove head !ready;
         let q = Hashtbl.find stash fh in
-        let _, item = Queue.pop q in
+        let _, pulled_at, item = Queue.pop q in
         if Queue.is_empty q then Hashtbl.remove stash fh;
         decr stashed;
-        Some item
+        Some (pulled_at, item)
   in
   (* Only reached for a flow in flight or already stashed: an idle
      stashed flow is in [ready] already with an older head. *)
@@ -113,15 +116,21 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
           Hashtbl.replace stash fh q;
           q
     in
-    Queue.push (!seq, item) q;
+    Queue.push (!seq, ctx.Exec_ctx.clock, item) q;
     incr seq;
-    incr stashed
+    incr stashed;
+    Engine.stashed e !stashed
   in
+  (* Backpressure: no pull starts while the stash holds [n_tasks] items —
+     one per task slot, so every completion can still refill from the
+     stash. A pull loop stops at the same bound, so the stash never
+     exceeds it; sources are pull-based, so nothing is lost. *)
+  let can_pull () = (not (!exhausted || !paused)) && !stashed < n_tasks in
   let next_item () =
     match take_stashed () with
-    | Some item -> Some item
+    | Some _ as taken -> taken
     | None ->
-        if !exhausted || !paused then None
+        if not (can_pull ()) then None
         else if Engine.want_pause e then begin
           paused := true;
           None
@@ -136,13 +145,10 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
                 let fh = flow_of item in
                 if fh >= 0 && (Hashtbl.mem inflight fh || Hashtbl.mem stash fh) then begin
                   stash_item fh item;
-                  (* Keep pulling: another flow's packet can fill this task.
-                     The cap bounds one pull loop, not the stash: a loop
-                     that starts at or over it still stashes what it
-                     pulls. *)
-                  if !stashed < 4 * n_tasks then pull () else None
+                  (* Keep pulling: another flow's packet can fill this task. *)
+                  if can_pull () then pull () else None
                 end
-                else Some item
+                else Some (ctx.Exec_ctx.clock, item)
           in
           pull ()
   in
@@ -235,9 +241,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
   and load_new (task : Nftask.t) =
     match next_item () with
     | None -> ()
-    | Some item ->
+    | Some (pulled_at, item) ->
         mark_inflight item.Workload.flow_hint;
-        Engine.load e task item;
+        Engine.load e ~pulled_at task item;
         (* Quarantined at load: finalise without executing anything (the
            flow is serialised, so completion order is kept). Otherwise the
            initial transition and fetching (Algorithm 1 line 4), driven by
@@ -276,11 +282,10 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         (* An idle slot is only worth visiting when it can actually load
            work; otherwise the scan would keep picking no-op idle slots
            over a waiting task whose dropped prefetch (MSHR starvation)
-           needs a re-issuing visit — during the drain phase that task
-           would never be visited again and the loop would spin forever. *)
-        let refillable =
-          lazy ((not (!exhausted || !paused)) || not (Ready.is_empty !ready))
-        in
+           needs a re-issuing visit — during the drain phase, or while
+           the stash is full, that task would never be visited again and
+           the loop would spin forever. *)
+        let refillable = lazy (can_pull () || not (Ready.is_empty !ready)) in
         let runnable i =
           let t = tasks.(i) in
           if not t.Nftask.active then Lazy.force refillable

@@ -6,7 +6,9 @@
     execution; a task whose fills are still in flight is skipped (its
     P-state says so) until they land. Finished NFTasks are re-initialised
     in place, and per-flow ordering is preserved: two packets of one flow
-    are never in flight concurrently. *)
+    are never in flight concurrently. A packet whose flow is busy waits in
+    a stash of at most [n_tasks] items (one per task slot); no pull starts
+    while it is full. Latency counts from the pull, stash wait included. *)
 
 (** Task-selection policy: the paper's round-robin, or a ready-first scan
     that skips tasks whose fills are still in flight (charging one cycle

@@ -52,7 +52,7 @@ let snapshot t =
     s_state_cycles = Array.copy t.ctx.Exec_ctx.cycles_by_class;
   }
 
-let finish ?latency ?(faulted = 0) ?(faults = []) ?(degraded = false) t snap
+let finish ?latency ?(faulted = 0) ?(faults = []) ?(degraded = false) ?(stash_max = 0) t snap
     ~label ~packets ~drops ~wire_bytes ~switches : Metrics.run =
   {
     Metrics.label;
@@ -62,6 +62,7 @@ let finish ?latency ?(faulted = 0) ?(faults = []) ?(degraded = false) t snap
     instrs = t.ctx.Exec_ctx.instrs - snap.s_instrs;
     wire_bytes;
     switches;
+    stash_max;
     mem = Memsim.Memstats.diff (Exec_ctx.counters t.ctx) snap.s_mem;
     freq_ghz = t.cfg.freq_ghz;
     state_cycles =

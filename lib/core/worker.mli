@@ -30,9 +30,9 @@ type snapshot
 val snapshot : t -> snapshot
 
 (** [faulted]/[faults]/[degraded] come from the run's fault plane and
-    default to a fault-free run. *)
+    default to a fault-free run; [stash_max] defaults to 0 (no stash). *)
 val finish :
   ?latency:Metrics.latency -> ?faulted:int ->
-  ?faults:(string * Fault.reason * int) list -> ?degraded:bool -> t ->
+  ?faults:(string * Fault.reason * int) list -> ?degraded:bool -> ?stash_max:int -> t ->
   snapshot -> label:string -> packets:int -> drops:int -> wire_bytes:int ->
   switches:int -> Metrics.run

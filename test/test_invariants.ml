@@ -116,6 +116,16 @@ let test_memstats_flags () =
         };
     }
 
+(* A skewed interleaved run fills its stash to the bound; one item more
+   breaks the rule. *)
+let test_stash_flags () =
+  let obs = observe ~profile:"zipf" ~packets:200 ~exec:(exec_named "rr-4") () in
+  Alcotest.(check int) "zipf fills the rr-4 stash" 4 obs.Oracle.o_run.Metrics.stash_max;
+  Alcotest.(check int) "bound is the task count" 4 obs.Oracle.o_stash_limit;
+  Alcotest.(check int) "at the bound is clean" 0 (List.length (Invariants.check obs));
+  expect_rule "stash over its bound" "stash" Invariants.check
+    { obs with Oracle.o_run = { obs.Oracle.o_run with Metrics.stash_max = 5 } }
+
 (* ----- MSHR introspection on the hierarchy itself ----- *)
 
 (* Under any access mix, the pending-fill introspection agrees with the
@@ -154,5 +164,6 @@ let suite =
     Alcotest.test_case "flow order flags tampering" `Quick test_flow_order_flags;
     Alcotest.test_case "clock flags tampering" `Quick test_clock_flags;
     Alcotest.test_case "memstats flags tampering" `Quick test_memstats_flags;
+    Alcotest.test_case "stash bound flags tampering" `Quick test_stash_flags;
     Helpers.qcheck qcheck_mshr_deadlines;
   ]

@@ -164,6 +164,7 @@ let mk_run ?(cycles = 2_700_000) ?(packets = 1000) ?(wire = 64000) () =
     instrs = cycles / 2;
     wire_bytes = wire;
     switches = 0;
+    stash_max = 0;
     mem = Memsim.Memstats.zero;
     freq_ghz = 2.7;
     state_cycles = Array.make Exec_ctx.n_classes 0;

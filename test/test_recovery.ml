@@ -167,6 +167,7 @@ let obs_of_emits emits packets : Oracle.observation =
         instrs = 0;
         wire_bytes = 0;
         switches = 0;
+        stash_max = 0;
         mem = Memsim.Memstats.zero;
         freq_ghz = 1.0;
         state_cycles = [||];
@@ -181,6 +182,7 @@ let obs_of_emits emits packets : Oracle.observation =
     o_state = "";
     o_mshr_pending = 0;
     o_mshr_limit = 1;
+    o_stash_limit = 0;
   }
 
 let emit ?(pktid = 0) ?(flow = 0) ?(dropped = false) ?(wire = 64) () : Oracle.emit =

@@ -3,13 +3,15 @@
 
    A Zipf-1.1 NAT source over 64 flows keeps a few hot flows permanently
    in flight, so most interleaved pulls are stashed behind a same-flow task
-   and pull loops run into their [4 * n_tasks] cap. The order pins fix the
+   and the stash fills to its bound of one item per task slot, where
+   pulling stops until a stashed flow goes idle. The order pins fix the
    exact schedule of every single-core engine (which item each refill
-   takes, when every packet completes). The scheduler pins were recorded
-   with the stash kept as a plain arrival-ordered list, so they prove the
-   indexed stash picks the same items; the rtc and batch pins, and the
-   specialized and traced modes, were recorded before the engines shared
-   one per-packet kernel. Two more sources run through the same harness: a
+   takes, when every packet completes), and every interleaved run checks
+   that the stash reached its bound and never passed it. The rtc, batch,
+   AMF and UPF pins were recorded before the engines shared one per-packet
+   kernel and before the stash was bounded, so they prove neither change
+   moved them; the bound never binds on the UPF source. The NAT
+   interleaved pins were re-recorded when the bound landed. Two more sources run through the same harness: a
    packed-AMF signalling source (per-UE contexts of 20+ lines, one handler
    slot per message) under batch and rtc, and a UPF downlink source under
    the interleaved scheduler, whose prefetches keep the MSHRs busy. The
@@ -101,6 +103,13 @@ let order_pin src engine mode variant =
     let r =
       run_engine engine ?quiesce ?fault ?telemetry ~on_complete s.worker s.program source
     in
+    (match engine with
+    | Il (_, n) when src = Nat_zipf ->
+        Alcotest.(check int) "stash fills to one item per task slot" n r.Metrics.stash_max
+    | Il (_, n) ->
+        if r.Metrics.stash_max > n then
+          Alcotest.failf "stash held %d items behind %d task slots" r.Metrics.stash_max n
+    | Rtc | Batch _ -> Alcotest.(check int) "no stash" 0 r.Metrics.stash_max);
     Printf.bprintf totals "/%d,%d,%d,%d" r.Metrics.cycles r.Metrics.switches
       r.Metrics.packets r.Metrics.faulted;
     Option.iter
@@ -162,29 +171,29 @@ let rf n = Il (Scheduler.Ready_first, n)
 let pins =
   [
     (rr 4, Interp, Plain,
-     "b2ff61129db510f91183ab6b4b1c3bbf/1161344,27434,5000,0");
+     "444252920520db2c4868001de2b084ba/1183304,29616,5000,0");
     (rr 4, Interp, Quiesce,
-     "67d914664f402e8f1014536b78721722/587166,14207,2512,0/575588,13367,2488,0");
+     "ad2d23b8f9000c24b26c2fd11c8c5f64/595466,15192,2503,0/587968,14437,2497,0");
     (rr 4, Interp, Fault_at_load,
-     "4053a9d5686b91bcf3f1de5471ce0348/1025234,23673,5000,1590");
+     "359fbd08182adccd994b949dfcbc1a61/1046904,25830,5000,1590");
     (rr 16, Interp, Plain,
-     "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0");
+     "412e3902726c66a1d6b7a1c956a7bdc6/1934694,104582,5000,0");
     (rr 16, Interp, Quiesce,
-     "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0/526834,27926,1349,0");
+     "7254da394472b9d61293684983bd9a59/974826,52662,2522,0/960228,51921,2478,0");
     (rr 16, Interp, Fault_at_load,
-     "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590");
+     "4d3a4e9ca281246d65e29d928a2a8f93/1691554,90096,5000,1590");
     (rf 4, Interp, Plain,
-     "f9a385e4ec611e2e444ff01e23e8cf04/1153747,26570,5000,0");
+     "f7618fa4c9eac67f2be5130501db403e/1156782,26644,5000,0");
     (rf 4, Interp, Quiesce,
-     "c96a75978e9bd8ddb81b1a66dbc74be8/580541,13451,2512,0/573392,13123,2488,0");
+     "92033f18f629d33223ed7d3490a74d0d/579870,13434,2503,0/576961,13214,2497,0");
     (rf 4, Interp, Fault_at_load,
-     "0036ce16dadf990b8a4a7f7654302f6e/1018361,22888,5000,1590");
+     "07e0704bc1d66ff378f3873c8b35eb09/1020841,22913,5000,1590");
     (rf 16, Interp, Plain,
-     "4c5740ce81fd35c3e9874fb700fd9858/1282930,28940,5000,0");
+     "6fcebf6a972877dc7f25aad9e6e4345e/1255452,29048,5000,0");
     (rf 16, Interp, Quiesce,
-     "0a05df1fac6146b91a34d79037d5cc28/936475,21111,3651,0/345079,7731,1349,0");
+     "93c0dec7d3c52da31a350baedf662560/633732,14700,2522,0/621666,14303,2478,0");
     (rf 16, Interp, Fault_at_load,
-     "ecf09fe7542c7e37dd465b40260e0f86/1132008,25252,5000,1590");
+     "96dfea22941a0f0c83b5505b7c62175e/1105432,24900,5000,1590");
     (Rtc, Interp, Plain,
      "b15cfafa026c56a6076160ae252e346d/933450,0,5000,0");
     (Rtc, Interp, Quiesce,
@@ -234,17 +243,17 @@ let pins =
     (Batch 32, Traced, Fault_at_load,
      "35f56cbf9a54a6acb6e85f52db6de491/877565,0,5000,1590+67796,5000,811109,610828,0");
     (rr 16, Specialized, Plain,
-     "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0");
+     "412e3902726c66a1d6b7a1c956a7bdc6/1934694,104582,5000,0");
     (rr 16, Specialized, Quiesce,
-     "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0/526834,27926,1349,0");
+     "7254da394472b9d61293684983bd9a59/974826,52662,2522,0/960228,51921,2478,0");
     (rr 16, Specialized, Fault_at_load,
-     "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590");
+     "4d3a4e9ca281246d65e29d928a2a8f93/1691554,90096,5000,1590");
     (rr 16, Traced, Plain,
-     "f68bd596602908bc9dd8dc22be0c2341/1962844,104486,5000,0+181128,5000,1839468,594232,1044860");
+     "412e3902726c66a1d6b7a1c956a7bdc6/1934694,104582,5000,0+181224,5000,1811318,565122,1045820");
     (rr 16, Traced, Quiesce,
-     "29cfa8cc2efab57397b980fa8624ffe5/1435570,76566,3651,0+132622,3651,1345506,433430,765660/526834,27926,1349,0+48512,1349,493522,160302,279260");
+     "7254da394472b9d61293684983bd9a59/974826,52662,2522,0+91537,2522,912514,284638,526620/960228,51921,2478,0+89688,2478,899164,280834,519210");
     (rr 16, Traced, Fault_at_load,
-     "52c7e885e500febc097bd9fd7a7fd7a2/1714164,89936,5000,1590+157827,5000,1608412,508676,899360");
+     "4d3a4e9ca281246d65e29d928a2a8f93/1691554,90096,5000,1590+157987,5000,1585802,484466,900960");
   ]
 
 (* Pins of the other sources, recorded with the same harness. *)

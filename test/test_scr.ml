@@ -251,6 +251,7 @@ let mk_run ~label ~packets ~drops =
     instrs = 800;
     wire_bytes = packets * 64;
     switches = 0;
+    stash_max = 0;
     mem = Memsim.Memstats.zero;
     freq_ghz = 3.2;
     state_cycles = Array.make Exec_ctx.n_classes 0;

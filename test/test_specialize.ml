@@ -235,7 +235,8 @@ let qcheck_arena_no_leak =
 
 (* Arena-fed runs equal fresh-allocation runs on every simulated metric —
    under RTC (one packet in flight, tiny ring) and under the interleaved
-   scheduler (16 tasks + stash in flight, default ring). *)
+   scheduler (at most 16 tasks + 16 stashed items in flight, default
+   ring). *)
 let arena_nat_run ~use_arena ~scheduler =
   let s = Helpers.nat_setup ~seed:7 () in
   let arena =
@@ -260,6 +261,36 @@ let test_arena_run_identity () =
         (fresh = recycled))
     [ false; true ]
 
+(* The bench's --specialize arena under skew: a Zipf NAT rr-16 run fed
+   from a default-sized ring (the one bench/bench_common.ml hands every
+   env) equals the fresh-allocation run. The ring recycles records in pull
+   order, so it must outlast the oldest live packet's age in pulls. With
+   at most one stashed item per task slot that age stays near a hundred
+   pulls here; an unbounded stash lets a hot flow's tail wait thousands of
+   pulls, the ring rewrites packets still waiting to run, and the runs
+   differ. *)
+let test_arena_ring_outlasts_stash () =
+  let n_tasks = 16 in
+  let run arena =
+    let worker = Worker.create ~id:0 () in
+    let layout = Worker.layout worker in
+    let gen =
+      Traffic.Flowgen.create ~seed:11 ~popularity:(Traffic.Flowgen.Zipf 1.1)
+        ~size_model:(Traffic.Flowgen.Fixed 64) ~n_flows:64 ()
+    in
+    let pool = Netcore.Packet.Pool.create layout ~count:256 in
+    let nat = Nfs.Nat.create layout ~name:"nat" ~n_flows:64 () in
+    Nfs.Nat.populate nat (Traffic.Flowgen.flows gen);
+    let program = Nfs.Nat.program nat in
+    Specialize.install program;
+    Scheduler.run worker program ~n_tasks
+      (Workload.of_flowgen ?arena gen ~pool ~count:5000)
+  in
+  let fresh = run None in
+  Alcotest.(check int) "the stash fills" n_tasks fresh.Metrics.stash_max;
+  let recycled = run (Some (Netcore.Packet.Arena.create ())) in
+  Alcotest.(check bool) "arena run byte-identical" true (fresh = recycled)
+
 let suite =
   [
     Alcotest.test_case "observe specialize axis" `Quick test_observe_axis;
@@ -279,4 +310,6 @@ let suite =
     Alcotest.test_case "arena recycles in place" `Quick test_arena_recycles_in_place;
     Helpers.qcheck qcheck_arena_no_leak;
     Alcotest.test_case "arena run identity" `Quick test_arena_run_identity;
+    Alcotest.test_case "default arena ring outlasts the bounded stash" `Quick
+      test_arena_ring_outlasts_stash;
   ]
