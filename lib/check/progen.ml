@@ -324,7 +324,7 @@ let synthetic_unit layout ~seed ~(sh : syn_shape) ?ident ~flows () =
   in
   let (_shed : int) =
     Nfs.Classifier.populate classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
+      ~count:(Array.length flows) (fun i -> Netcore.Flow.key64 flows.(i))
   in
   let arena =
     Structures.State_arena.create layout ~label:"syn.per_flow" ~entry_bytes:16

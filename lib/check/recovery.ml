@@ -117,6 +117,7 @@ let syn_import (st : Progen.syn_state) blob =
   in
   if st.Progen.syn_next + count > Array.length st.Progen.syn_seqs then
     raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
+  let table = Nfs.Classifier.table st.Progen.syn_classifier in
   let base = String.length syn_magic + 4 in
   for e = 0 to count - 1 do
     let off = base + (e * syn_entry_bytes) in
@@ -125,8 +126,7 @@ let syn_import (st : Progen.syn_state) blob =
     let seq = Int32.to_int (Nfs.Migration.get_u32 blob (off + 12)) in
     let scratch = Int64.to_int (Nfs.Migration.get_u64 blob (off + 16)) in
     let slot = st.Progen.syn_next in
-    let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
-    if shed > 0 then
+    if not (Structures.Cuckoo.insert table ~key ~value:slot) then
       raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
     st.Progen.syn_next <- slot + 1;
     st.Progen.syn_ident.(slot) <- ident;
@@ -156,8 +156,7 @@ let syn_apply (st : Progen.syn_state) blob =
           if st.Progen.syn_next >= Array.length st.Progen.syn_seqs then
             raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
           let slot = st.Progen.syn_next in
-          let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
-          if shed > 0 then
+          if not (Structures.Cuckoo.insert table ~key ~value:slot) then
             raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
           st.Progen.syn_next <- slot + 1;
           slot

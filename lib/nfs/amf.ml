@@ -193,7 +193,7 @@ let create layout ~name ?(packed = false) ~n_ues () =
 let populate t =
   let (_shed : int) =
     Classifier.populate t.classifier
-      (List.init t.n_ues (fun i -> (Int64.of_int (i + 1), i)))
+      ~count:t.n_ues (fun i -> Int64.of_int (i + 1))
   in
   ()
 

@@ -33,13 +33,11 @@ val create :
 
 val table : t -> Structures.Cuckoo.t
 
-(** Insert [key -> per-flow index] pairs. Table overflow resolves per
-    [policy] (default [Drop_new]) instead of raising; the result is the
-    number of entries that are *not* resident afterwards (rejected new
-    entries, or victims displaced by [Evict_lru]) — 0 on a well-sized
-    table. *)
-val populate :
-  ?policy:Structures.Cuckoo.overflow_policy -> t -> (int64 * int) list -> int
+(** [populate t ~count key_of] maps [key_of i] to per-flow index [i] for
+    every [i < count], in index order. Table overflow rejects the new entry
+    (as [Drop_new]) instead of raising; the result is the number of entries
+    that are *not* resident afterwards — 0 on a well-sized table. *)
+val populate : t -> count:int -> (int -> int64) -> int
 
 (** The compiler-ready instance (actions + prefetch bindings). *)
 val instance : t -> Compiler.instance

@@ -76,7 +76,7 @@ let populate t flows =
   t.next_free <- max t.next_free (Array.length flows);
   let (_shed : int) =
     Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
+      ~count:(Array.length flows) (fun i -> Netcore.Flow.key64 flows.(i))
   in
   ()
 

@@ -57,7 +57,7 @@ let create layout ~name ?arena ~n_flows () =
 let populate t flows =
   let (_shed : int) =
     Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
+      ~count:(Array.length flows) (fun i -> Netcore.Flow.key64 flows.(i))
   in
   t.next_free <- max t.next_free (Array.length flows)
 

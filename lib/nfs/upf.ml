@@ -172,20 +172,12 @@ let create_empty layout ~name ~capacity ~n_pdrs () =
 
 let populate t =
   let (_shed : int) =
-    Classifier.populate t.classifier
-      (Array.to_list
-         (Array.mapi
-            (fun i (s : Traffic.Mgw.session) ->
-              (Int64.logand (Int64.of_int32 s.Traffic.Mgw.ue_ip) 0xFFFFFFFFL, i))
-            t.sessions))
+    Classifier.populate t.classifier ~count:(Array.length t.sessions) (fun i ->
+        Int64.logand (Int64.of_int32 t.sessions.(i).Traffic.Mgw.ue_ip) 0xFFFFFFFFL)
   in
   let (_shed : int) =
-    Classifier.populate t.uplink_classifier
-      (Array.to_list
-         (Array.mapi
-            (fun i (s : Traffic.Mgw.session) ->
-              (Int64.logand (Int64.of_int32 s.Traffic.Mgw.teid) 0xFFFFFFFFL, i))
-            t.sessions))
+    Classifier.populate t.uplink_classifier ~count:(Array.length t.sessions) (fun i ->
+        Int64.logand (Int64.of_int32 t.sessions.(i).Traffic.Mgw.teid) 0xFFFFFFFFL)
   in
   ()
 

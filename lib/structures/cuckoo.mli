@@ -6,7 +6,16 @@
     with full keys in a separate key-store line per bucket. The table logic
     is real; cache behaviour comes from callers charging reads of
     {!bucket_addr} / {!key_addr} to the memory hierarchy, one action per
-    probe step. *)
+    probe step.
+
+    The host-side table is three flat arrays of one entry per slot, 24 bytes
+    per slot and no per-entry heap block: full keys in a [Bytes] of 8
+    little-endian bytes per slot, one int word per slot packing the
+    insertion stamp above the 16-bit fingerprint
+    ([stamp lsl 16 lor fingerprint]), and the value index (negative for an
+    empty slot). Stamps count insert calls and order {!Evict_lru}'s
+    victims; the packed word stays a non-negative int for 2{^46} inserts
+    into one table. *)
 
 type t
 
@@ -72,7 +81,9 @@ type insert_result =
   | Rejected
 
 (** Like {!insert} but overflow resolves per [policy] instead of just
-    reporting [false]. Deterministic: LRU order comes from per-slot
-    insertion stamps, ties break on scan order. *)
+    reporting [false]. Deterministic: LRU order comes from the insertion
+    stamps packed beside each slot's fingerprint, which every insert and
+    update writes whatever its policy, so policies may be mixed on one
+    table; ties break on scan order. *)
 val insert_policy :
   t -> policy:overflow_policy -> key:int64 -> value:int -> insert_result
