@@ -40,11 +40,11 @@ let monitor layout ~name flows =
    advantage, so each core's tables hold only its owned slice. *)
 let rss_core flows ~core worker =
   let layout = Worker.layout worker in
-  let owned =
-    Array.to_list flows
-    |> List.filteri (fun i _ -> Platform.Recovery.owner ~cores i = core)
-    |> Array.of_list
-  in
+  let owned = ref [] in
+  for i = Array.length flows - 1 downto 0 do
+    if Platform.Recovery.owner ~cores i = core then owned := flows.(i) :: !owned
+  done;
+  let owned = Array.of_list !owned in
   let mon = monitor layout ~name:(Printf.sprintf "nm%d" core) owned in
   {
     Scaleout.Scr_platform.rss_worker = worker;
