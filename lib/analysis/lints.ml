@@ -440,7 +440,7 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
       v_temp_must_in = (fun id -> temp_must.Dataflow.ins.(id));
       v_temp_qual = temp_qual;
       v_ctl_qual = temp_qual;
-      v_has_transition = (fun id ev -> Fsm.step fsm id (Event.of_key ev) <> None);
+      v_has_transition = (fun id ev -> Fsm.step fsm id (Event.of_key ev) >= 0);
     }
   in
   run_view view add;

@@ -426,7 +426,7 @@ let check_specialize (vi : Compiler.verify_input) add count_unknown =
           match ev with
           | None -> ()
           | Some ev ->
-              let expected = match Fsm.step fsm s ev with Some d -> d | None -> -1 in
+              let expected = Fsm.step fsm s ev in
               let cell = table.((s * n_classes) + cls) in
               if cell <> expected then begin
                 ok := false;
@@ -510,7 +510,7 @@ let check_specialize (vi : Compiler.verify_input) add count_unknown =
                       | Some key -> (
                           let ev = Event.of_key key in
                           match Fsm.step fsm s ev with
-                          | None ->
+                          | -1 ->
                               ok := false;
                               add
                                 (finding ~rule ~subject ~qname:(Fsm.name fsm s)
@@ -522,7 +522,7 @@ let check_specialize (vi : Compiler.verify_input) add count_unknown =
                                    (Fmt.str
                                       "action at %s emits %S on a feasible path but the control logic has no transition for it"
                                       (Fsm.name fsm s) key))
-                          | Some dst ->
+                          | dst ->
                               let via_sp = Specialize.step sp s ev in
                               if via_sp <> dst then begin
                                 ok := false;

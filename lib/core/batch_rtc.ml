@@ -76,8 +76,21 @@ let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
       match source () with
       | None -> n
       | Some item ->
-          Engine.load e tasks.(n) item;
+          Engine.load e ~pulled_at:ctx.Exec_ctx.clock tasks.(n) item;
           fill (n + 1)
+  in
+  (* Pre-run the pure prefix (key + first hash) to resolve the first
+     bucket. The prefix's compute is charged here; the processing pass will
+     not repeat it. *)
+  let rec pre (task : Nftask.t) = function
+    | cs :: rest when cs = task.Nftask.cs && Engine.has_action e cs ->
+        Engine.act e task;
+        if not (Engine.is_faulted task) then begin
+          task.Nftask.cs <- Engine.step e cs task.Nftask.event;
+          Exec_ctx.compute ctx ~cycles:dispatch ~instrs:2;
+          pre task rest
+        end
+    | _ -> ()
   in
   let prefetch_pass n =
     for i = 0 to n - 1 do
@@ -89,25 +102,11 @@ let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
         | Some p when p.Netcore.Packet.sim_addr >= 0 ->
             ignore (Exec_ctx.prefetch ctx ~addr:p.Netcore.Packet.sim_addr ~bytes:64)
         | Some _ | None -> ());
-        (* Pre-run the pure prefix (key + first hash) to resolve the first
-           bucket, then prefetch it. The prefix's compute is charged here;
-           the processing pass will not repeat it. *)
+        (* Pre-run the pure prefix, then prefetch the bucket it resolved. *)
         task.Nftask.cs <- Engine.step e (Program.start program) Event.Packet_arrival;
-        let rec pre = function
-          | cs :: rest when cs = task.Nftask.cs && Engine.has_action e cs ->
-              Engine.act e task;
-              if not (Engine.is_faulted task) then begin
-                task.Nftask.cs <- Engine.step e cs task.Nftask.event;
-                Exec_ctx.compute ctx ~cycles:dispatch ~instrs:2;
-                pre rest
-              end
-          | _ -> ()
-        in
-        pre prefix;
+        pre task prefix;
         if not (Engine.is_faulted task) then
-          List.iter
-            (fun (addr, bytes) -> ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
-            task.Nftask.match_addrs
+          Exec_ctx.prefetch_blocks ctx task.Nftask.match_addrs
       end
     done
   in

@@ -76,12 +76,12 @@ let stashed e n = if n > e.stash_max then e.stash_max <- n
 let is_faulted (task : Nftask.t) =
   match task.Nftask.event with Event.Faulted _ -> true | _ -> false
 
-let load e ?pulled_at (task : Nftask.t) (item : Workload.item) =
+let load e ~pulled_at (task : Nftask.t) (item : Workload.item) =
   let ctx = e.ctx in
   Nftask.load task ~cs:(Program.start e.program) ?packet:item.Workload.packet
     ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
   task.Nftask.start_clock <- ctx.Exec_ctx.clock;
-  task.Nftask.pulled_at <- Option.value pulled_at ~default:ctx.Exec_ctx.clock;
+  task.Nftask.pulled_at <- pulled_at;
   Exec_ctx.compute ctx ~cycles:e.cfg.Worker.rx_tx_cycles ~instrs:e.cfg.Worker.rx_tx_instrs;
   (match e.telemetry with
   | Some tr ->

@@ -40,11 +40,11 @@ val want_pause : t -> bool
 val stashed : t -> int -> unit
 
 (** Load [item] into [task] at the program's start state, stamp its start
-    clock and its pull clock ([pulled_at], default now: an item loaded as
-    it is pulled), charge packet I/O, record the pull and parse spans, and
+    clock and its pull clock [pulled_at] (the current clock for an item
+    loaded as it is pulled), charge packet I/O, record the pull and parse spans, and
     consult the fault plane: a task quarantined at load leaves with a
     [Faulted] event ({!is_faulted}) and must not execute. *)
-val load : t -> ?pulled_at:int -> Nftask.t -> Workload.item -> unit
+val load : t -> pulled_at:int -> Nftask.t -> Workload.item -> unit
 
 (** Whether [cs] has an action. *)
 val has_action : t -> int -> bool

@@ -106,6 +106,25 @@ let prefetch t ~addr ~bytes =
 
 let ready t ~addr ~bytes = Memsim.Hierarchy.ready t.mem ~now:t.clock ~addr ~bytes
 
+(* The block-list forms of [read], [prefetch] and [ready], for actions and
+   the executors' Fetch and readiness checks; top-level recursion, so a
+   call allocates no closure. *)
+let rec read_blocks t ~cls = function
+  | [] -> ()
+  | (addr, bytes) :: rest ->
+      read t ~cls ~addr ~bytes;
+      read_blocks t ~cls rest
+
+let rec prefetch_blocks t = function
+  | [] -> ()
+  | (addr, bytes) :: rest ->
+      ignore (prefetch t ~addr ~bytes);
+      prefetch_blocks t rest
+
+let rec blocks_ready t = function
+  | [] -> true
+  | (addr, bytes) :: rest -> ready t ~addr ~bytes && blocks_ready t rest
+
 let counters t = Memsim.Hierarchy.counters t.mem
 
 let state_access_cycles t cls = t.cycles_by_class.(class_index cls)

@@ -42,5 +42,14 @@ val prefetch : t -> addr:int -> bytes:int -> int
     flight). *)
 val ready : t -> addr:int -> bytes:int -> bool
 
+(** [read] every [(addr, bytes)] block, in order. *)
+val read_blocks : t -> cls:Sref.state_class -> (int * int) list -> unit
+
+(** [prefetch] every [(addr, bytes)] block, in order. *)
+val prefetch_blocks : t -> (int * int) list -> unit
+
+(** [ready] holds for every block. *)
+val blocks_ready : t -> (int * int) list -> bool
+
 val counters : t -> Memsim.Memstats.t
 val state_access_cycles : t -> Sref.state_class -> int

@@ -55,12 +55,15 @@ let n_states t = Array.length t.names
 let name t i = t.names.(i)
 let index t name = Hashtbl.find_opt t.index name
 
+(* Top-level and returning a sentinel: Δ runs on every transition of every
+   packet, and a capturing [List.find_map] closure or a [Some] would
+   allocate there. *)
+let rec dst_of key = function
+  | [] -> -1
+  | (e, d) :: rest -> if String.equal e key then d else dst_of key rest
+
 let step t cs event =
-  match t.outs.(cs) with
-  | [] -> None
-  | outs ->
-      let key = Event.to_key event in
-      List.find_map (fun (e, d) -> if String.equal e key then Some d else None) outs
+  match t.outs.(cs) with [] -> -1 | outs -> dst_of (Event.to_key event) outs
 
 let successors t cs = List.map snd t.outs.(cs)
 

@@ -25,8 +25,8 @@ val n_states : t -> int
 val name : t -> int -> string
 val index : t -> string -> int option
 
-(** Δ: the successor on an event, if defined. *)
-val step : t -> int -> Event.t -> int option
+(** Δ: the successor on an event, or [-1] when undefined. *)
+val step : t -> int -> Event.t -> int
 
 (** Successors in the order their edges were added. *)
 val successors : t -> int -> int list

@@ -62,7 +62,13 @@ let resolve target (task : Nftask.t) =
   | Sub_flow (arena, fields) -> arena_blocks arena task.Nftask.sub_matched fields
   | Fixed s -> [ (s.Sref.addr, s.Sref.bytes) ]
 
-let resolve_all targets task = List.concat_map (fun t -> resolve t task) targets
+(* Runs at every Fetch step; most states have one target, whose list is
+   returned as it is. *)
+let rec resolve_all targets task =
+  match targets with
+  | [] -> []
+  | [ t ] -> resolve t task
+  | t :: rest -> resolve t task @ resolve_all rest task
 
 let pp_target ppf = function
   | Packet_header n -> Fmt.pf ppf "packet[0..%d]" n

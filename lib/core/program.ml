@@ -37,12 +37,12 @@ let cs_by_name t qname =
 (* Δ with a hard failure on undefined transitions: a spec/compiler bug, not
    a runtime condition. *)
 let step t cs event =
-  match Fsm.step t.fsm cs event with
-  | Some next -> next
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Program %s: no transition from %s on event %s" t.p_name
-           t.info.(cs).qname (Event.to_key event))
+  let next = Fsm.step t.fsm cs event in
+  if next >= 0 then next
+  else
+    invalid_arg
+      (Printf.sprintf "Program %s: no transition from %s on event %s" t.p_name
+         t.info.(cs).qname (Event.to_key event))
 
 let pp ppf t =
   Fmt.pf ppf "program %s (%d control states)@." t.p_name (Array.length t.info);

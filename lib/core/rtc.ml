@@ -36,7 +36,7 @@ let run ?label ?quiesce ?fault ?telemetry ?on_complete (worker : Worker.t)
       match source () with
       | None -> ()
       | Some item ->
-          Engine.load e task item;
+          Engine.load e ~pulled_at:ctx.Exec_ctx.clock task item;
           step ();
           Engine.complete e task;
           drain ()

@@ -27,6 +27,16 @@ module Ready = Set.Make (struct
   let compare (a, _) (b, _) = Int.compare a b
 end)
 
+(* Per-flow tables keyed by the flow hint: an int hash, where the generic
+   table would run the polymorphic [caml_hash] on every lookup. Nothing
+   iterates them, so bucket order is unobservable. *)
+module Flow_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fh = fh land max_int
+end)
+
 let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     ?telemetry ?on_complete (worker : Worker.t) (program : Program.t) ~n_tasks
     (source : Workload.source) =
@@ -66,9 +76,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
      the arrival-ordered stash would take. The pull clock travels with the
      item, so its latency counts the stash wait. Bookkeeping charges no
      cycles. *)
-  let inflight : (int, int) Hashtbl.t = Hashtbl.create (4 * n_tasks) in
-  let stash : (int, (int * int * Workload.item) Queue.t) Hashtbl.t =
-    Hashtbl.create (4 * n_tasks)
+  let inflight : int Flow_tbl.t = Flow_tbl.create (4 * n_tasks) in
+  let stash : (int * int * Workload.item) Queue.t Flow_tbl.t =
+    Flow_tbl.create (4 * n_tasks)
   in
   let ready = ref Ready.empty in
   let stashed = ref 0 in
@@ -76,20 +86,21 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
   let flow_of (item : Workload.item) = item.Workload.flow_hint in
   let mark_inflight fh =
     if fh >= 0 then
-      Hashtbl.replace inflight fh (1 + Option.value ~default:0 (Hashtbl.find_opt inflight fh))
+      Flow_tbl.replace inflight fh
+        (1 + Option.value ~default:0 (Flow_tbl.find_opt inflight fh))
   in
   (* A flow going idle with items stashed becomes takeable. *)
   let clear_inflight fh =
     if fh >= 0 then
-      match Hashtbl.find_opt inflight fh with
+      match Flow_tbl.find_opt inflight fh with
       | Some 1 -> (
-          Hashtbl.remove inflight fh;
-          match Hashtbl.find_opt stash fh with
+          Flow_tbl.remove inflight fh;
+          match Flow_tbl.find_opt stash fh with
           | Some q ->
               let head, _, _ = Queue.peek q in
               ready := Ready.add (head, fh) !ready
           | None -> ())
-      | Some n -> Hashtbl.replace inflight fh (n - 1)
+      | Some n -> Flow_tbl.replace inflight fh (n - 1)
       | None -> ()
   in
   (* The caller marks the taken item's flow in flight at once, so the
@@ -99,9 +110,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     | None -> None
     | Some ((_, fh) as head) ->
         ready := Ready.remove head !ready;
-        let q = Hashtbl.find stash fh in
+        let q = Flow_tbl.find stash fh in
         let _, pulled_at, item = Queue.pop q in
-        if Queue.is_empty q then Hashtbl.remove stash fh;
+        if Queue.is_empty q then Flow_tbl.remove stash fh;
         decr stashed;
         Some (pulled_at, item)
   in
@@ -109,11 +120,11 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
      stashed flow is in [ready] already with an older head. *)
   let stash_item fh item =
     let q =
-      match Hashtbl.find_opt stash fh with
+      match Flow_tbl.find_opt stash fh with
       | Some q -> q
       | None ->
           let q = Queue.create () in
-          Hashtbl.replace stash fh q;
+          Flow_tbl.replace stash fh q;
           q
     in
     Queue.push (!seq, ctx.Exec_ctx.clock, item) q;
@@ -126,6 +137,20 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
      stash. A pull loop stops at the same bound, so the stash never
      exceeds it; sources are pull-based, so nothing is lost. *)
   let can_pull () = (not (!exhausted || !paused)) && !stashed < n_tasks in
+  let rec pull () =
+    match source () with
+    | None ->
+        exhausted := true;
+        None
+    | Some item ->
+        let fh = flow_of item in
+        if fh >= 0 && (Flow_tbl.mem inflight fh || Flow_tbl.mem stash fh) then begin
+          stash_item fh item;
+          (* Keep pulling: another flow's packet can fill this task. *)
+          if can_pull () then pull () else None
+        end
+        else Some (ctx.Exec_ctx.clock, item)
+  in
   let next_item () =
     match take_stashed () with
     | Some _ as taken -> taken
@@ -135,31 +160,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
           paused := true;
           None
         end
-        else
-          let rec pull () =
-            match source () with
-            | None ->
-                exhausted := true;
-                None
-            | Some item ->
-                let fh = flow_of item in
-                if fh >= 0 && (Hashtbl.mem inflight fh || Hashtbl.mem stash fh) then begin
-                  stash_item fh item;
-                  (* Keep pulling: another flow's packet can fill this task. *)
-                  if can_pull () then pull () else None
-                end
-                else Some (ctx.Exec_ctx.clock, item)
-          in
-          pull ()
-  in
-
-  let issue_prefetches (task : Nftask.t) =
-    List.iter
-      (fun (addr, bytes) -> ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
-      task.Nftask.pending_blocks
-  in
-  let resident blocks =
-    List.for_all (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes) blocks
+        else pull ()
   in
 
   (* Distance >= 2: also issue the resolvable targets of FSM successor
@@ -208,14 +209,15 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     task.Nftask.pending_blocks <- blocks;
     if prefetch_distance = 0 then task.Nftask.p_state <- Nftask.P_ready
     else begin
-      (if blocks = [] then task.Nftask.p_state <- Nftask.P_ready
-       else begin
-         issue_prefetches task;
-         (* If everything is already resident (e.g. packed states fetched by
-            an earlier NF of the chain), run on the next visit without
-            waiting. *)
-         task.Nftask.p_state <- (if resident blocks then Nftask.P_ready else Nftask.P_issued)
-       end);
+      (match blocks with
+      | [] -> task.Nftask.p_state <- Nftask.P_ready
+      | _ :: _ ->
+          Exec_ctx.prefetch_blocks ctx blocks;
+          (* If everything is already resident (e.g. packed states fetched
+             by an earlier NF of the chain), run on the next visit without
+             waiting. *)
+          task.Nftask.p_state <-
+            (if Exec_ctx.blocks_ready ctx blocks then Nftask.P_ready else Nftask.P_issued));
       if prefetch_distance >= 2 then speculate task
     end
   in
@@ -258,7 +260,10 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
       (match Engine.telemetry e with
       | Some tr -> Trace.set_task tr ~task:task.Nftask.id
       | None -> ());
-      if task.Nftask.p_state = Nftask.P_ready || resident task.Nftask.pending_blocks then begin
+      if
+        task.Nftask.p_state = Nftask.P_ready
+        || Exec_ctx.blocks_ready ctx task.Nftask.pending_blocks
+      then begin
         Engine.act e task;
         if Engine.is_faulted task then finalize task else transition_and_fetch task
       end
@@ -266,7 +271,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         (* Fills dropped (MSHR full) or lines evicted before use: re-issue;
            resident/pending lines are skipped inside the hierarchy, so this
            is cheap and idempotent. *)
-        issue_prefetches task
+        Exec_ctx.prefetch_blocks ctx task.Nftask.pending_blocks
     end
   in
 
@@ -289,7 +294,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         let runnable i =
           let t = tasks.(i) in
           if not t.Nftask.active then Lazy.force refillable
-          else t.Nftask.p_state = Nftask.P_ready || resident t.Nftask.pending_blocks
+          else
+            t.Nftask.p_state = Nftask.P_ready
+            || Exec_ctx.blocks_ready ctx t.Nftask.pending_blocks
         in
         let rec scan k skipped =
           if skipped = n_tasks then (!idx + 1) mod n_tasks

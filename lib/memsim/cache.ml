@@ -71,63 +71,41 @@ let set_of_line t line =
 
 let base t line = set_of_line t line * t.assoc
 
+(* Every per-line kernel below is a top-level loop over explicit
+   arguments. The compiler has no flambda, so a local [let rec] that
+   captured [t], [line] or the set base would allocate a closure on every
+   call, and these run for every level of every line access. *)
+
+(* First way at or after [w] in the set at [b] that holds [line] or is
+   invalid (-1), else [assoc]. *)
+let rec scan (tags : int array) b assoc line w =
+  if w = assoc then w
+  else
+    let tag = tags.(b + w) in
+    if tag = line || tag = -1 then w else scan tags b assoc line (w + 1)
+
 (* The way holding [line] in its set, or [-(valid_ways + 1)] when absent,
    with no effect on recency or counters. Invalid slots sit at the tail, so
    the scan stops at the first -1, which is also the valid-way count a
    following {!fill_line} needs. *)
 let lookup_line t line =
   let b = base t line in
-  let tags = t.tags in
-  let rec go w =
-    if w = t.assoc then -(w + 1)
-    else
-      let tag = tags.(b + w) in
-      if tag = line then w else if tag = -1 then -(w + 1) else go (w + 1)
-  in
-  go 0
+  let w = scan t.tags b t.assoc line 0 in
+  if w < t.assoc && t.tags.(b + w) = line then w else -(w + 1)
 
 let contains_line t line = lookup_line t line >= 0
 
 let contains t addr = contains_line t (line_of_addr t addr)
 
-(* Rotate [line] (currently at way [i]) to the front of its set: everything
-   in [b, i) shifts down one way. This is the move-to-front "touch". *)
+(* Rotate [line] (currently at way [i], an absolute index) to the front of
+   its set at [b]: everything in [b, i) shifts down one way. This is the
+   move-to-front "touch". An int loop, not [Array.blit]: on a major-heap
+   array the blit runs the write barrier for every moved way. *)
 let promote tags b i line =
-  Array.blit tags b tags (b + 1) (i - b);
+  for k = i downto b + 1 do
+    tags.(k) <- tags.(k - 1)
+  done;
   tags.(b) <- line
-
-(* [access_line] performs a tag check and updates recency on hit. *)
-let access_line t line =
-  let b = base t line in
-  let tags = t.tags in
-  if tags.(b) = line then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    let last = b + t.assoc in
-    let rec go i =
-      if i = last then begin
-        t.misses <- t.misses + 1;
-        false
-      end
-      else
-        let tag = tags.(i) in
-        if tag = line then begin
-          promote tags b i line;
-          t.hits <- t.hits + 1;
-          true
-        end
-        else if tag = -1 then begin
-          t.misses <- t.misses + 1;
-          false
-        end
-        else go (i + 1)
-    in
-    go (b + 1)
-  end
-
-let access t addr = access_line t (line_of_addr t addr)
 
 (* Fused miss-path probe for the hierarchy's demand loop: behaves exactly
    like {!access_line} (same counter updates, same recency refresh on hit)
@@ -141,90 +119,67 @@ let probe_line t line =
     t.hits <- t.hits + 1;
     1
   end
-  else if tags.(b) = -1 then begin
-    (* Invalid at the front means the whole set is empty. *)
-    t.misses <- t.misses + 1;
-    -1
-  end
   else begin
-    let last = b + t.assoc in
-    let rec go i =
-      if i = last then begin
-        t.misses <- t.misses + 1;
-        -(t.assoc + 1)
-      end
-      else
-        let tag = tags.(i) in
-        if tag = line then begin
-          promote tags b i line;
-          t.hits <- t.hits + 1;
-          1
-        end
-        else if tag = -1 then begin
-          t.misses <- t.misses + 1;
-          -(i - b + 1)
-        end
-        else go (i + 1)
-    in
-    go (b + 1)
+    (* Way 0 holds another line or is invalid (then the set is empty). *)
+    let w = if tags.(b) = -1 then 0 else scan tags b t.assoc line 1 in
+    if w < t.assoc && tags.(b + w) = line then begin
+      promote tags b (b + w) line;
+      t.hits <- t.hits + 1;
+      1
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      -(w + 1)
+    end
   end
+
+(* [access_line] performs a tag check and updates recency on hit. *)
+let access_line t line = probe_line t line > 0
+
+let access t addr = access_line t (line_of_addr t addr)
 
 (* Install [line] into a set that {!probe_line} or {!lookup_line} just
    missed with [valid_ways] valid entries, with no intervening operation on
    this cache.
    Identical decision to {!install_line}: a free way if one exists,
-   otherwise evict the LRU (tail) way. *)
-let fill_line t line valid_ways =
+   otherwise evict the LRU (tail) way. Returns the evicted line, or -1. *)
+let fill_victim t line valid_ways =
   let b = base t line in
   let tags = t.tags in
   t.installs <- t.installs + 1;
   if valid_ways < t.assoc then begin
     promote tags b (b + valid_ways) line;
-    None
+    -1
   end
   else begin
     let victim = tags.(b + t.assoc - 1) in
     t.evictions <- t.evictions + 1;
     promote tags b (b + t.assoc - 1) line;
-    Some victim
+    victim
   end
 
+let victim_opt = function -1 -> None | v -> Some v
+
+let fill_line t line valid_ways = victim_opt (fill_victim t line valid_ways)
+
 (* Install a line, evicting the LRU way if the set is full. Returns the line
-   number of the victim, if a valid line was evicted. Installing a present
-   line only refreshes recency. *)
-let install_line t line =
+   number of the victim, or -1 when no valid line was evicted. Installing a
+   present line only refreshes recency. *)
+let install_victim t line =
   let b = base t line in
   let tags = t.tags in
-  let last = b + t.assoc in
-  if tags.(b) = line then None (* already MRU; recency refresh is a no-op *)
+  if tags.(b) = line then -1 (* already MRU; recency refresh is a no-op *)
   else begin
     (* Find the line, or the end of the valid prefix if absent. *)
-    let rec find i =
-      if i = last then i
-      else
-        let tag = tags.(i) in
-        if tag = line || tag = -1 then i else find (i + 1)
-    in
-    let i = find (b + 1) in
-    if i < last && tags.(i) = line then begin
-      promote tags b i line;
-      None
+    let w = scan tags b t.assoc line 1 in
+    if w < t.assoc && tags.(b + w) = line then begin
+      promote tags b (b + w) line;
+      -1
     end
-    else begin
-      t.installs <- t.installs + 1;
-      if i < last then begin
-        (* A free (invalid) way exists: no eviction. *)
-        promote tags b i line;
-        None
-      end
-      else begin
-        let victim = tags.(last - 1) in
-        t.evictions <- t.evictions + 1;
-        promote tags b (last - 1) line;
-        Some victim
-      end
-    end
+    else fill_victim t line w
   end
+
+let install_line t line = victim_opt (install_victim t line)
 
 let install t addr = install_line t (line_of_addr t addr)
 
@@ -234,23 +189,15 @@ let install t addr = install_line t (line_of_addr t addr)
 let invalidate_line t line =
   let b = base t line in
   let tags = t.tags in
-  let last = b + t.assoc in
-  let rec go i =
-    if i < last && tags.(i) <> -1 then begin
-      if tags.(i) = line then begin
-        let rec pull j =
-          if j + 1 < last && tags.(j + 1) <> -1 then begin
-            tags.(j) <- tags.(j + 1);
-            pull (j + 1)
-          end
-          else tags.(j) <- -1
-        in
-        pull i
-      end
-      else go (i + 1)
-    end
-  in
-  go b
+  let w = scan tags b t.assoc line 0 in
+  if w < t.assoc && tags.(b + w) = line then begin
+    (* The valid ways after [w] move up one; the last of them becomes -1. *)
+    let last = b + scan tags b t.assoc (-1) (w + 1) - 1 in
+    for k = b + w to last - 1 do
+      tags.(k) <- tags.(k + 1)
+    done;
+    tags.(last) <- -1
+  end
 
 let invalidate t addr = invalidate_line t (line_of_addr t addr)
 

@@ -46,6 +46,10 @@ val lookup_line : t -> int -> int
     return as [install_line]. *)
 val fill_line : t -> int -> int -> int option
 
+(** As [fill_line], returning the evicted line or [-1]: the allocation-free
+    form the hierarchy's line path calls. *)
+val fill_victim : t -> int -> int -> int
+
 (** Presence test without touching LRU state or counters. *)
 val contains : t -> int -> bool
 
@@ -57,6 +61,9 @@ val contains_line : t -> int -> bool
 val install : t -> int -> int option
 
 val install_line : t -> int -> int option
+
+(** As [install_line], returning the evicted line or [-1]. *)
+val install_victim : t -> int -> int
 
 val invalidate : t -> int -> unit
 val invalidate_line : t -> int -> unit

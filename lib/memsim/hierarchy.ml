@@ -152,21 +152,33 @@ let occupy t slot ~line ~ready =
   t.mshr_ready.(slot) <- ready;
   if ready > t.mshr_horizon then t.mshr_horizon <- ready
 
-let mshr_find t line =
-  let n = Array.length t.mshr_line in
-  let rec go i = if i = n then -1 else if t.mshr_line.(i) = line then i else go (i + 1) in
-  go 0
+(* The slot loops are top-level functions over explicit arguments: a local
+   [let rec] capturing [t] would allocate a closure per line access. The
+   annotations keep the comparisons on ints; left polymorphic, they would
+   call the runtime's generic compare. *)
+let rec find_from (lines : int array) line i =
+  if i = Array.length lines then -1
+  else if lines.(i) = line then i
+  else find_from lines line (i + 1)
 
-let mshr_free_slot t ~now =
-  if now >= t.mshr_horizon then 0
+let mshr_find t line = find_from t.mshr_line line 0
+
+(* One pass for a prefetch of [line]: -2 when the slot holding its fill
+   (the first slot naming it) is still in flight, else the first free slot,
+   or -1 when none is free. A slot is free when empty or when its fill is
+   done. *)
+let rec issue_slot_from (lines : int array) (ready : int array) ~now line i free =
+  if i = Array.length lines then free
   else
-    let n = Array.length t.mshr_line in
-    let rec go i =
-      if i = n then -1
-      else if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then i
-      else go (i + 1)
-    in
-    go 0
+    let l = lines.(i) in
+    if l = line then if ready.(i) > now then -2 else if free >= 0 then free else i
+    else
+      let free = if free < 0 && (l = -1 || ready.(i) <= now) then i else free in
+      issue_slot_from lines ready ~now line (i + 1) free
+
+let mshr_issue_slot t ~now line =
+  if now >= t.mshr_horizon then 0
+  else issue_slot_from t.mshr_line t.mshr_ready ~now line 0 (-1)
 
 let mshr_pending_count t ~now =
   let count = ref 0 in
@@ -182,16 +194,12 @@ let mshr_deadlines t ~now =
     t.mshr_line;
   List.rev !acc
 
-(* Pending completion time for [line], if in flight and not yet done. *)
+(* The slot whose fill of [line] is still in flight at [now], or -1. *)
 let mshr_pending t ~now line =
-  if now >= t.mshr_horizon then None
+  if now >= t.mshr_horizon then -1
   else
     let i = mshr_find t line in
-    if i >= 0 && t.mshr_ready.(i) > now then Some t.mshr_ready.(i) else None
-
-let mshr_clear t line =
-  let i = mshr_find t line in
-  if i >= 0 then t.mshr_line.(i) <- -1
+    if i >= 0 && t.mshr_ready.(i) > now then i else -1
 
 (* Serve one demand line access at time [now]. The result is packed as
    [latency lsl 3 lor served_code] so the per-line hot path allocates
@@ -206,51 +214,53 @@ let served_of_code = function
 
 let access_line_coded t ~now line =
   t.line_accesses <- t.line_accesses + 1;
-  match mshr_pending t ~now line with
-  | Some ready ->
-      (* The line is in flight from an earlier prefetch: pay the residual. *)
-      t.mshr_waits <- t.mshr_waits + 1;
-      let wait = ready - now in
-      t.wait_cycles <- t.wait_cycles + wait;
-      mshr_clear t line;
-      ignore (Cache.install_line t.l1 line);
-      ignore (Cache.install_line t.l2 line);
-      ((wait + t.cfg.lat_l1) lsl 3) lor 4
-  | None ->
-      (* Each level is probed once; on a miss the probe also reports the
-         set's valid-way count so the fill below skips the second scan. *)
-      let p1 = Cache.probe_line t.l1 line in
-      if p1 > 0 then begin
-        t.l1_hits <- t.l1_hits + 1;
-        t.cfg.lat_l1 lsl 3
+  let slot = mshr_pending t ~now line in
+  if slot >= 0 then begin
+    (* The line is in flight from an earlier prefetch: pay the residual. *)
+    t.mshr_waits <- t.mshr_waits + 1;
+    let wait = t.mshr_ready.(slot) - now in
+    t.wait_cycles <- t.wait_cycles + wait;
+    t.mshr_line.(slot) <- -1;
+    ignore (Cache.install_victim t.l1 line);
+    ignore (Cache.install_victim t.l2 line);
+    ((wait + t.cfg.lat_l1) lsl 3) lor 4
+  end
+  else begin
+    (* Each level is probed once; on a miss the probe also reports the
+       set's valid-way count so the fill below skips the second scan. *)
+    let p1 = Cache.probe_line t.l1 line in
+    if p1 > 0 then begin
+      t.l1_hits <- t.l1_hits + 1;
+      t.cfg.lat_l1 lsl 3
+    end
+    else begin
+      let e1 = -p1 - 1 in
+      let p2 = Cache.probe_line t.l2 line in
+      if p2 > 0 then begin
+        t.l2_hits <- t.l2_hits + 1;
+        ignore (Cache.fill_victim t.l1 line e1);
+        (t.cfg.lat_l2 lsl 3) lor 1
       end
       else begin
-        let e1 = -p1 - 1 in
-        let p2 = Cache.probe_line t.l2 line in
-        if p2 > 0 then begin
-          t.l2_hits <- t.l2_hits + 1;
-          ignore (Cache.fill_line t.l1 line e1);
-          (t.cfg.lat_l2 lsl 3) lor 1
+        let e2 = -p2 - 1 in
+        let p3 = Cache.probe_line t.llc line in
+        if p3 > 0 then begin
+          t.llc_hits <- t.llc_hits + 1;
+          ignore (Cache.fill_victim t.l1 line e1);
+          ignore (Cache.fill_victim t.l2 line e2);
+          (t.cfg.lat_llc lsl 3) lor 2
         end
         else begin
-          let e2 = -p2 - 1 in
-          let p3 = Cache.probe_line t.llc line in
-          if p3 > 0 then begin
-            t.llc_hits <- t.llc_hits + 1;
-            ignore (Cache.fill_line t.l1 line e1);
-            ignore (Cache.fill_line t.l2 line e2);
-            (t.cfg.lat_llc lsl 3) lor 2
-          end
-          else begin
-            let e3 = -p3 - 1 in
-            t.dram_fills <- t.dram_fills + 1;
-            ignore (Cache.fill_line t.l1 line e1);
-            ignore (Cache.fill_line t.l2 line e2);
-            ignore (Cache.fill_line t.llc line e3);
-            (t.cfg.lat_dram lsl 3) lor 3
-          end
+          let e3 = -p3 - 1 in
+          t.dram_fills <- t.dram_fills + 1;
+          ignore (Cache.fill_victim t.l1 line e1);
+          ignore (Cache.fill_victim t.l2 line e2);
+          ignore (Cache.fill_victim t.llc line e3);
+          (t.cfg.lat_dram lsl 3) lor 3
         end
       end
+    end
+  end
 
 let stream_discount t lat = max t.cfg.lat_l1 (lat * t.cfg.stream_num / t.cfg.stream_den)
 
@@ -308,27 +318,24 @@ let prefetch t ~now ~addr ~bytes =
       let w1 = Cache.lookup_line t.l1 line in
       (* An L1 hit skips the L2 lookup; [w2] is then just non-negative. *)
       let w2 = if w1 >= 0 then w1 else Cache.lookup_line t.l2 line in
-      if w2 >= 0 then t.prefetch_redundant <- t.prefetch_redundant + 1
-      else
-        match mshr_pending t ~now line with
-        | Some _ -> t.prefetch_redundant <- t.prefetch_redundant + 1
-        | None -> (
-            match mshr_free_slot t ~now with
-            | -1 -> t.prefetch_dropped <- t.prefetch_dropped + 1
-            | slot ->
-                let w3 = Cache.lookup_line t.llc line in
-                let lat =
-                  if w3 >= 0 then t.cfg.lat_llc
-                  else begin
-                    ignore (Cache.fill_line t.llc line (-w3 - 1));
-                    t.cfg.lat_dram
-                  end
-                in
-                ignore (Cache.fill_line t.l2 line (-w2 - 1));
-                ignore (Cache.fill_line t.l1 line (-w1 - 1));
-                occupy t slot ~line ~ready:(now + lat);
-                t.prefetch_issued <- t.prefetch_issued + 1;
-                incr issued)
+      let slot = if w2 >= 0 then -2 else mshr_issue_slot t ~now line in
+      if slot = -2 then t.prefetch_redundant <- t.prefetch_redundant + 1
+      else if slot = -1 then t.prefetch_dropped <- t.prefetch_dropped + 1
+      else begin
+        let w3 = Cache.lookup_line t.llc line in
+        let lat =
+          if w3 >= 0 then t.cfg.lat_llc
+          else begin
+            ignore (Cache.fill_victim t.llc line (-w3 - 1));
+            t.cfg.lat_dram
+          end
+        in
+        ignore (Cache.fill_victim t.l2 line (-w2 - 1));
+        ignore (Cache.fill_victim t.l1 line (-w1 - 1));
+        occupy t slot ~line ~ready:(now + lat);
+        t.prefetch_issued <- t.prefetch_issued + 1;
+        incr issued
+      end
     done;
     !issued
   end
@@ -336,31 +343,20 @@ let prefetch t ~now ~addr ~bytes =
 (* A block is "ready" when every line is resident in L1 or L2 and no fetch
    for it is still in flight. Prefetched lines that were evicted before use
    therefore report not-ready and must be re-prefetched. *)
+let in_l1_or_l2 t line = Cache.contains_line t.l1 line || Cache.contains_line t.l2 line
+
+let rec ready_from t ~now line last =
+  line > last
+  || mshr_pending t ~now line < 0 && in_l1_or_l2 t line && ready_from t ~now (line + 1) last
+
 let ready t ~now ~addr ~bytes =
-  if bytes <= 0 then true
-  else begin
-    let first = line_of t addr in
-    let last = line_of t (addr + bytes - 1) in
-    let rec go line =
-      line > last
-      || (match mshr_pending t ~now line with Some _ -> false | None -> true)
-         && (Cache.contains_line t.l1 line || Cache.contains_line t.l2 line)
-         && go (line + 1)
-    in
-    go first
-  end
+  bytes <= 0 || ready_from t ~now (line_of t addr) (line_of t (addr + bytes - 1))
+
+let rec resident_from t line last =
+  line > last || (in_l1_or_l2 t line && resident_from t (line + 1) last)
 
 let resident t ~addr ~bytes =
-  if bytes <= 0 then true
-  else begin
-    let first = line_of t addr in
-    let last = line_of t (addr + bytes - 1) in
-    let rec go line =
-      line > last
-      || (Cache.contains_line t.l1 line || Cache.contains_line t.l2 line) && go (line + 1)
-    in
-    go first
-  end
+  bytes <= 0 || resident_from t (line_of t addr) (line_of t (addr + bytes - 1))
 
 let counters t : Memstats.t =
   {

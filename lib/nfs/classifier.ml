@@ -92,9 +92,7 @@ let populate t ~count key_of =
 (* ----- NFActions ----- *)
 
 let read_match_addrs ctx (task : Nftask.t) =
-  List.iter
-    (fun (addr, bytes) -> Exec_ctx.read ctx ~cls:Sref.Match_state ~addr ~bytes)
-    task.Nftask.match_addrs
+  Exec_ctx.read_blocks ctx ~cls:Sref.Match_state task.Nftask.match_addrs
 
 let get_key_action t =
   Action.make ~kind:Action.Match_action ~base_cycles:12 ~base_instrs:14
@@ -106,7 +104,8 @@ let get_key_action t =
 
 let hash_action t ~primary =
   let name = if primary then ".hash_1" else ".hash_2" in
-  let event = if primary then "hash_done" else "sec_hash_done" in
+  (* Built once: an [Event.User] of a non-literal string allocates. *)
+  let event = Event.User (if primary then "hash_done" else "sec_hash_done") in
   Action.make ~kind:Action.Match_action ~base_cycles:22 ~base_instrs:20
     ~invalidates:[ `Match_addrs ] ~name:(t.name ^ name)
     (fun _ctx task ->
@@ -115,7 +114,7 @@ let hash_action t ~primary =
       if primary then task.Nftask.temps.Nftask.h1 <- bucket
       else task.Nftask.temps.Nftask.h2 <- bucket;
       task.Nftask.match_addrs <- [ (Cuckoo.bucket_addr t.table bucket, Cuckoo.bucket_bytes) ];
-      Event.User event)
+      event)
 
 (* Fingerprint scan over the bucket line; on a hit, resolves the key-store
    line for the key_check step. *)
@@ -128,12 +127,12 @@ let bucket_check_action t ~primary =
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      match Cuckoo.candidates t.table ~bucket ~key:task.Nftask.temps.Nftask.key with
-      | [] -> if primary then Event.User "check_failure" else Event.Match_fail
-      | _ :: _ ->
-          task.Nftask.match_addrs <-
-            [ (Cuckoo.key_addr t.table bucket, Cuckoo.bucket_bytes) ];
-          Event.User "bucket_hit")
+      if Cuckoo.has_candidate t.table ~bucket ~key:task.Nftask.temps.Nftask.key then begin
+        task.Nftask.match_addrs <- [ (Cuckoo.key_addr t.table bucket, Cuckoo.bucket_bytes) ];
+        Event.User "bucket_hit"
+      end
+      else if primary then Event.User "check_failure"
+      else Event.Match_fail)
 
 (* Full-key comparison against the key-store line. *)
 let key_check_action t ~primary =
@@ -145,11 +144,13 @@ let key_check_action t ~primary =
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      match Cuckoo.find_in_bucket t.table ~bucket ~key:task.Nftask.temps.Nftask.key with
-      | Some idx ->
-          task.Nftask.matched <- idx;
-          Event.Match_success
-      | None -> if primary then Event.User "check_failure" else Event.Match_fail)
+      let idx = Cuckoo.find_value t.table ~bucket ~key:task.Nftask.temps.Nftask.key in
+      if idx >= 0 then begin
+        task.Nftask.matched <- idx;
+        Event.Match_success
+      end
+      else if primary then Event.User "check_failure"
+      else Event.Match_fail)
 
 let instance t : Compiler.instance =
   {

@@ -235,9 +235,9 @@ let learn_action t =
         else begin
           let table = Classifier.table t.classifier in
           let bucket =
-            match Structures.Cuckoo.find_in_bucket table ~bucket:(Structures.Cuckoo.hash1 table key) ~key with
-            | Some _ -> Structures.Cuckoo.hash1 table key
-            | None -> Structures.Cuckoo.hash2 table key
+            let h1 = Structures.Cuckoo.hash1 table key in
+            if Structures.Cuckoo.find_value table ~bucket:h1 ~key >= 0 then h1
+            else Structures.Cuckoo.hash2 table key
           in
           Exec_ctx.write ctx ~cls:Sref.Match_state
             ~addr:(Structures.Cuckoo.bucket_addr table bucket)

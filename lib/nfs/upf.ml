@@ -319,9 +319,7 @@ let tree_step_action t =
   Action.make ~kind:Action.Match_action ~base_cycles:14 ~base_instrs:14
     ~invalidates:[ `Match_addrs; `Sub_flow ] ~name:(t.name ^ ".tree_step")
     (fun ctx task ->
-      List.iter
-        (fun (addr, bytes) -> Exec_ctx.read ctx ~cls:Sref.Match_state ~addr ~bytes)
-        task.Nftask.match_addrs;
+      Exec_ctx.read_blocks ctx ~cls:Sref.Match_state task.Nftask.match_addrs;
       let shape = Mdi_tree.Forest.shape t.forest in
       let si = task.Nftask.matched in
       match Mdi_tree.step shape ~node:task.Nftask.temps.Nftask.cursor (mdi_key_of_packet task) with

@@ -132,35 +132,47 @@ let write_slot t slot ~key ~value ~word =
 
 let holds t slot key = t.vals.(slot) >= 0 && Int64.equal (key_at t slot) key
 
-(* Slots of [bucket] whose stored fingerprint matches [key]'s — what the
-   bucket_check action can decide from the bucket line alone. Resident
-   fingerprints come from the [fps] cache maintained at every key write, so
-   the probe does one multiply instead of one per occupied slot. *)
-let candidates t ~bucket ~key =
-  let fp = fingerprint key in
-  let b = slot_base bucket in
-  let rec go i acc =
-    if i < 0 then acc
-    else if t.vals.(b + i) >= 0 && t.fps.(b + i) land fp_mask = fp then
-      go (i - 1) (i :: acc)
-    else go (i - 1) acc
-  in
-  go (slots_per_bucket - 1) []
+(* The probes run on every bucket_check/key_check action of every packet,
+   so their loops are top-level functions over explicit arguments (a local
+   [let rec] capturing [t] would allocate a closure per call) and they
+   answer with a bool or a [-1] sentinel; the list and option forms are
+   built on them. *)
 
-(* Search one bucket for [key]; pure table logic, no memory charging. *)
+(* Slot [b + i] is occupied with fingerprint [fp]. Resident fingerprints
+   come from the [fps] cache maintained at every key write, so a probe does
+   one multiply instead of one per occupied slot. *)
+let fp_hit t b fp i = t.vals.(b + i) >= 0 && t.fps.(b + i) land fp_mask = fp
+
+let rec any_fp_from t b fp i =
+  i < slots_per_bucket && (fp_hit t b fp i || any_fp_from t b fp (i + 1))
+
+(* Some slot of [bucket] holds [key]'s fingerprint — what the bucket_check
+   action can decide from the bucket line alone. *)
+let has_candidate t ~bucket ~key = any_fp_from t (slot_base bucket) (fingerprint key) 0
+
+let rec fp_slots_from t b fp i acc =
+  if i < 0 then acc
+  else fp_slots_from t b fp (i - 1) (if fp_hit t b fp i then i :: acc else acc)
+
+let candidates t ~bucket ~key =
+  fp_slots_from t (slot_base bucket) (fingerprint key) (slots_per_bucket - 1) []
+
+let rec value_from t b key i =
+  if i = slots_per_bucket then -1
+  else if holds t (b + i) key then t.vals.(b + i)
+  else value_from t b key (i + 1)
+
+(* Search one bucket for [key]: its value, or -1 (stored values are
+   non-negative). Pure table logic, no memory charging. *)
+let find_value t ~bucket ~key = value_from t (slot_base bucket) key 0
+
 let find_in_bucket t ~bucket ~key =
-  let b = slot_base bucket in
-  let rec go i =
-    if i = slots_per_bucket then None
-    else if holds t (b + i) key then Some t.vals.(b + i)
-    else go (i + 1)
-  in
-  go 0
+  match find_value t ~bucket ~key with -1 -> None | v -> Some v
 
 let lookup t key =
-  match find_in_bucket t ~bucket:(hash1 t key) ~key with
-  | Some _ as r -> r
-  | None -> find_in_bucket t ~bucket:(hash2 t key) ~key
+  match find_value t ~bucket:(hash1 t key) ~key with
+  | -1 -> find_in_bucket t ~bucket:(hash2 t key) ~key
+  | v -> Some v
 
 let empty_slot_in t bucket =
   let b = slot_base bucket in

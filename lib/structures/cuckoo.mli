@@ -46,11 +46,19 @@ val key_addr : t -> int -> int
 (** 16-bit key fingerprint as stored in bucket lines. *)
 val fingerprint : int64 -> int
 
-(** Slots of [bucket] whose fingerprint matches — decidable from the bucket
-    line alone (the bucket_check action). *)
+(** Some slot of [bucket] has a matching fingerprint — decidable from the
+    bucket line alone (the bucket_check action). Allocates nothing. *)
+val has_candidate : t -> bucket:int -> key:int64 -> bool
+
+(** The slots of [bucket] whose fingerprint matches, in slot order. *)
 val candidates : t -> bucket:int -> key:int64 -> int list
 
-(** Full-key comparison within one bucket (the key_check action). *)
+(** Full-key comparison within one bucket (the key_check action): the
+    key's value, or [-1] when the bucket does not hold it. Allocates
+    nothing. *)
+val find_value : t -> bucket:int -> key:int64 -> int
+
+(** As [find_value], as an option. *)
 val find_in_bucket : t -> bucket:int -> key:int64 -> int option
 
 (** Two-bucket lookup (pure table logic; RTC and tests). *)

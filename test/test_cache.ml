@@ -127,6 +127,61 @@ let qcheck_install_then_contains =
       ignore (Cache.install c addr);
       Cache.contains c addr)
 
+(* Equivalence pin: a seeded random stream of every line operation,
+   digested over every return value, each touched set's way order as seen
+   through [lookup_line] (the way of every tag the stream can draw for
+   that set, or the absent code), and the counters. Lines are
+   [tag * nsets + j], so each [j] names one set; [tags] exceeds the
+   associativity, so sets fill and evict, and a skewed tag draw keeps some
+   lines hot. A [fill_line] always follows the miss that reported its
+   valid-way count. The second geometry has a non-power-of-two set count.
+   The digests were recorded before the way shift became an int loop. *)
+let op_stream_digest ~size ~assoc ~tags ~ops =
+  let c = mk ~size ~assoc ~line:64 () in
+  let nsets = Cache.nsets c in
+  let rng = Rng.create 1717 in
+  let buf = Buffer.create (ops * 32) in
+  let opt = function Some v -> string_of_int v | None -> "-" in
+  let counters () =
+    Printf.bprintf buf "|%d,%d,%d,%d,%d;" (Cache.hits c) (Cache.misses c) (Cache.evictions c)
+      (Cache.installs c) (Cache.resident_lines c)
+  in
+  for i = 1 to ops do
+    let j = Rng.int rng 4 in
+    let line = (Rng.int rng (1 + Rng.int rng tags) * nsets) + j in
+    let op = Rng.int rng 100 in
+    if op < 20 then Printf.bprintf buf "p%d" (Cache.probe_line c line)
+    else if op < 32 then Printf.bprintf buf "l%d" (Cache.lookup_line c line)
+    else if op < 52 then begin
+      let w = if Rng.bool rng then Cache.lookup_line c line else Cache.probe_line c line in
+      Printf.bprintf buf "f%d" w;
+      if w < 0 then Printf.bprintf buf ",%s" (opt (Cache.fill_line c line (-w - 1)))
+    end
+    else if op < 70 then Printf.bprintf buf "i%s" (opt (Cache.install_line c line))
+    else if op < 80 then begin
+      Cache.invalidate_line c line;
+      Buffer.add_char buf 'v'
+    end
+    else if op < 95 then
+      Printf.bprintf buf "a%b" (Cache.access c ((line * 64) + Rng.int rng 64))
+    else if op < 99 then Printf.bprintf buf "n%d" (Cache.resident_lines c)
+    else begin
+      Cache.clear c;
+      Buffer.add_char buf 'c'
+    end;
+    Buffer.add_char buf '[';
+    for tag = 0 to tags do
+      Printf.bprintf buf "%d," (Cache.lookup_line c ((tag * nsets) + j))
+    done;
+    Buffer.add_string buf "];";
+    if i mod 1000 = 0 then counters ()
+  done;
+  counters ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_op_stream_pin name ~size ~assoc ~tags ~expected () =
+  Alcotest.(check string) name expected (op_stream_digest ~size ~assoc ~tags ~ops:20_000)
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -142,6 +197,12 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "resident lines" `Quick test_resident_lines;
     Alcotest.test_case "contains is stat-free" `Quick test_contains_no_stats;
+    Alcotest.test_case "op stream pin, 8 sets x 4 ways" `Quick
+      (test_op_stream_pin "pow2" ~size:2048 ~assoc:4 ~tags:9
+         ~expected:"680014b9b4afb7cb39092a4aeba20b2b");
+    Alcotest.test_case "op stream pin, 12 sets x 5 ways" `Quick
+      (test_op_stream_pin "non-pow2" ~size:3840 ~assoc:5 ~tags:11
+         ~expected:"55917b2acb3c258407c7f36e892563d1");
     Helpers.qcheck qcheck_capacity_bound;
     Helpers.qcheck qcheck_install_then_contains;
   ]

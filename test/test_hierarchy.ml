@@ -257,6 +257,51 @@ let op_stream_digest ~cfg ~tags ~ops =
 let test_op_stream_pin name ~cfg ~tags ~expected () =
   Alcotest.(check string) name expected (op_stream_digest ~cfg ~tags ~ops:20_000)
 
+(* Allocation witness: the line path allocates nothing. A seeded mix of
+   L1/L2 hits, DRAM misses, fills, evictions and reads of lines still in
+   flight in an MSHR runs through every per-line entry point on the
+   default geometry. The operands are drawn before the measurement, and
+   the words [Gc.minor_words] itself boxes are measured on an empty
+   interval and subtracted. *)
+let test_line_path_alloc_free () =
+  let h = mk () in
+  let n = 120_000 in
+  let rng = Rng.create 31 in
+  let ops = Array.init n (fun _ -> Rng.int rng 5) in
+  let addrs =
+    Array.init n (fun _ ->
+        (* A hot set that stays in L1/L2 and a cold span well beyond the LLC. *)
+        let line = if Rng.int rng 3 = 0 then Rng.int rng 4096 else Rng.int rng (1 lsl 22) in
+        (line * 64) + Rng.int rng 64)
+  in
+  let sizes = Array.init n (fun _ -> 1 + Rng.int rng 200) in
+  let steps = Array.init n (fun _ -> Rng.int rng 40) in
+  let sink = ref 0 in
+  let run () =
+    let now = ref 0 in
+    for i = 0 to n - 1 do
+      now := !now + steps.(i);
+      let now = !now and addr = addrs.(i) and bytes = sizes.(i) in
+      match ops.(i) with
+      | 0 -> sink := !sink + Hierarchy.read h ~now ~addr ~bytes
+      | 1 -> sink := !sink + Hierarchy.write h ~now ~addr ~bytes
+      | 2 -> sink := !sink + Hierarchy.prefetch h ~now ~addr ~bytes
+      | 3 -> if Hierarchy.ready h ~now ~addr ~bytes then incr sink
+      | _ -> if Hierarchy.resident h ~addr ~bytes then incr sink
+    done
+  in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  run ();
+  let w2 = Gc.minor_words () in
+  let words = w2 -. w1 -. (w1 -. w0) in
+  let c = Hierarchy.counters h in
+  Alcotest.(check bool) "the mix hits, misses and waits on MSHRs" true
+    (c.Memstats.l1_hits > 0 && c.Memstats.l2_hits > 0 && c.Memstats.dram_fills > 0
+    && c.Memstats.mshr_waits > 0 && c.Memstats.prefetch_issued > 0);
+  if words >= float_of_int n /. 1000.0 then
+    Alcotest.failf "line path allocated %.0f words over %d calls" words n
+
 let suite =
   [
     Alcotest.test_case "cold read = DRAM" `Quick test_cold_read_is_dram;
@@ -284,6 +329,7 @@ let suite =
     Alcotest.test_case "op stream pin, default geometry" `Quick
       (test_op_stream_pin "default" ~cfg ~tags:24
          ~expected:"ffa15bd8013de050c2ee892326644644");
+    Alcotest.test_case "line path allocates nothing" `Quick test_line_path_alloc_free;
     Helpers.qcheck qcheck_read_latency_bounded;
     Helpers.qcheck qcheck_prefetch_makes_ready;
   ]

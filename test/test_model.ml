@@ -33,9 +33,9 @@ let build_simple () =
 
 let test_fsm_step () =
   let fsm, s0, s1, s2 = build_simple () in
-  Alcotest.(check (option int)) "a --go--> b" (Some s1) (Fsm.step fsm s0 (Event.User "go"));
-  Alcotest.(check (option int)) "a --skip--> c" (Some s2) (Fsm.step fsm s0 (Event.User "skip"));
-  Alcotest.(check (option int)) "undefined transition" None (Fsm.step fsm s2 (Event.User "go"))
+  Alcotest.(check int) "a --go--> b" s1 (Fsm.step fsm s0 (Event.User "go"));
+  Alcotest.(check int) "a --skip--> c" s2 (Fsm.step fsm s0 (Event.User "skip"));
+  Alcotest.(check int) "undefined transition" (-1) (Fsm.step fsm s2 (Event.User "go"))
 
 let test_fsm_add_state_idempotent () =
   let b = Fsm.Builder.create () in

@@ -337,6 +337,18 @@ let test_alloc_scaling () =
     Alcotest.failf "alloc per packet grows with run length: %.0f words at 2500, %.0f at 10000"
       short long
 
+(* An absolute bound on the same measurement. The per-line memsim path,
+   Fetch, readiness, the FSM step and the match probes allocate nothing, so
+   what remains is the source's packets and the actions' own results: 145
+   words per packet, against 447 while those paths allocated closures and
+   options. *)
+let alloc_budget_words = 250.0
+
+let test_alloc_budget () =
+  let words = alloc_words_per_pkt ~count:2_500 in
+  if words > alloc_budget_words then
+    Alcotest.failf "%.0f words allocated per packet, budget %.0f" words alloc_budget_words
+
 let suite =
   List.map order_pin_case
     (List.map (fun (e, m, v, d) -> (Nat_zipf, e, m, v, d)) pins @ source_pins)
@@ -344,4 +356,5 @@ let suite =
       Alcotest.test_case "action-less state interpreted" `Quick (test_actionless false);
       Alcotest.test_case "action-less state specialized" `Quick (test_actionless true);
       Alcotest.test_case "alloc per packet flat in run length" `Quick test_alloc_scaling;
+      Alcotest.test_case "alloc per packet within budget" `Quick test_alloc_budget;
     ]
